@@ -77,43 +77,61 @@ class ExperimentConfig:
     modes: list[str]
     budget: Optional[int]
     gamma: Fraction
-    beta: Fraction
-    eps: Fraction
-    c_f2: Fraction
     part_method: str
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         instances = raw.get("instances")
         if not isinstance(instances, list) or not instances:
             raise ValueError("config needs a nonempty `instances` list")
         for entry in instances:
+            if not isinstance(entry, dict):
+                raise ValueError(f"instance entries must be objects, got {entry!r}")
             kind = entry.get("kind", "extremal")
             if kind not in ("extremal", "random"):
                 raise ValueError(f"unknown instance kind {kind!r}")
             seeds = entry.get("seeds")
-            if not isinstance(seeds, list) or not seeds:
-                raise ValueError("every instance entry needs explicit `seeds`")
-            if "n" not in entry:
-                raise ValueError("every instance entry needs `n`")
-            if kind == "extremal" and "delta" not in entry:
-                raise ValueError("extremal entries need `delta`")
+            if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
+                raise ValueError("every instance entry needs explicit integer `seeds`")
+            for key in ("n", "delta") if kind == "extremal" else ("n",):
+                if type(entry.get(key)) is not int:
+                    raise ValueError(f"{kind} entries need an integer `{key}`")
+            if not isinstance(entry.get("p_red", 0.5), (int, float)):
+                raise ValueError(f"`p_red` must be a number, got {entry['p_red']!r}")
         modes = raw.get("modes", [WEAK])
+        if not isinstance(modes, list):
+            raise ValueError(f"`modes` must be a list, got {modes!r}")
         for mode in modes:
             if mode not in MODES:
                 raise ValueError(f"bad mode {mode!r} in config")
         budget = raw.get("budget")
+        if budget is not None and (type(budget) is not int or budget < 0):
+            raise ValueError(f"`budget` must be an integer >= 0 or null, got {budget!r}")
+        try:
+            gamma = as_fraction(raw.get("gamma", 0))
+        except TypeError:
+            raise ValueError(f"`gamma` must be a number, got {raw['gamma']!r}") from None
         return cls(
             instances=instances,
             modes=list(modes),
             budget=budget,
-            gamma=as_fraction(raw.get("gamma", 0)),
-            beta=as_fraction(raw.get("beta", "3/10")),
-            eps=as_fraction(raw.get("eps", "1/100")),
-            c_f2=as_fraction(raw.get("c_f2", 0)),
+            gamma=gamma,
             part_method=raw.get("part_method", "circulant_catalog"),
         )
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for node budgets: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -143,13 +161,19 @@ def build_parser() -> _Parser:
     sol.add_argument("--instance", required=True)
     sol.add_argument("--mode", choices=MODES, default=WEAK)
     style = sol.add_mutually_exclusive_group()
-    style.add_argument("--exact", action="store_true", help="exact branch-and-bound (default)")
-    style.add_argument("--heuristic", action="store_true")
-    sol.add_argument("--budget", type=int)
+    style.add_argument(
+        "--exact",
+        dest="method",
+        action="store_const",
+        const="exact",
+        default="exact",
+        help="exact branch-and-bound (default)",
+    )
+    style.add_argument("--heuristic", dest="method", action="store_const", const="heuristic")
+    sol.add_argument("--budget", type=_non_negative_int)
     sol.add_argument("--iters", type=int, default=32)
     sol.add_argument("--seed", type=int, default=0)
     sol.add_argument("--gamma", type=Fraction, default=Fraction(0))
-    sol.add_argument("--threads", type=int, default=1)
     sol.add_argument("--out")
 
     ver = sub.add_parser("verify", help="check a solve report's tiling against an instance")
@@ -173,12 +197,11 @@ def build_parser() -> _Parser:
     red.add_argument("--graph", required=True)
     red.add_argument("--C", type=Fraction, help="padding margin; default admissible_C")
     red.add_argument("--c-f2", type=Fraction, default=Fraction(0))
-    red.add_argument("--budget", type=int)
+    red.add_argument("--budget", type=_non_negative_int)
 
     exp = sub.add_parser("experiment", help="run a seeded sweep, appending CSV rows")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -255,7 +278,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     cg = load_colored_graph(Path(args.instance).read_text())
     start = time.perf_counter()
-    if args.heuristic:
+    if args.method == "heuristic":
         tiling = heuristic_tiling(cg, args.mode, iters=args.iters, seed=args.seed)
         result = SolveResult(tiling, exact=False, nodes_expanded=0, upper_bound_used=0)
     else:

@@ -8,6 +8,7 @@ and colorings are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 RED = "r"
@@ -270,13 +271,27 @@ class Tiling:
         return len(self.triangles)
 
 
+def triangle_color(cg: ColoredGraph, a, b, c) -> Optional[str]:
+    """Color of the triple a, b, c: RED or BLUE, MIXED, or None if not a triangle.
+
+    None also covers vertices that are not ints (bools included) in 0..n-1,
+    so the result is defined for any input and the call never raises.
+    """
+    if not all(type(x) is int and 0 <= x < cg.n for x in (a, b, c)):
+        return None
+    adj = cg.graph._adj
+    if not adj[a] >> b & adj[a] >> c & adj[b] >> c & 1:
+        return None
+    red = cg._red
+    reds = (red[a] >> b & 1) + (red[a] >> c & 1) + (red[b] >> c & 1)
+    return RED if reds == 3 else BLUE if reds == 0 else MIXED
+
+
 def triangle_in(cg: ColoredGraph, a: int, b: int, c: int) -> Triangle:
     """Triangle record for an actual triangle of cg, color computed from edges."""
-    for u, v in ((a, b), (a, c), (b, c)):
-        if not cg.graph.has_edge(u, v):
-            raise GraphError(f"({a},{b},{c}) is not a triangle: missing edge ({u},{v})")
-    colors = {cg.color_of(a, b), cg.color_of(a, c), cg.color_of(b, c)}
-    color = colors.pop() if len(colors) == 1 else MIXED
+    color = triangle_color(cg, a, b, c)
+    if color is None:
+        raise GraphError(f"({a},{b},{c}) is not a triangle of the graph")
     return Triangle((a, b, c), color)
 
 
@@ -286,56 +301,37 @@ def scan_mono_triangles(
     """Monochromatic triangles in canonical (lexicographic) order.
 
     live restricts the scan to an induced vertex subset given as a bitmask.
+    For each anchor u, the higher neighbours v come in ascending order and
+    the color of uv picks the class in which to close u, v, w with w > v, so
+    the output is lexicographic without sorting.
     """
     if live is None:
         live = (1 << cg.n) - 1
     red = cg._red
     blue = cg._blue
     for u in iter_bits(live):
-        for adj, color in ((red, RED), (blue, BLUE)):
-            higher_u = adj[u] & live >> (u + 1) << (u + 1)
-            for v in iter_bits(higher_u):
-                common = higher_u & adj[v]
-                for w in iter_bits(common >> (v + 1)):
-                    yield Triangle((u, v, v + 1 + w), color)
+        above_u = live >> (u + 1) << (u + 1)
+        red_u = red[u] & above_u
+        blue_u = blue[u] & above_u
+        for v in iter_bits(red_u | blue_u):
+            if red_u >> v & 1:
+                common, color = red_u & red[v], RED
+            else:
+                common, color = blue_u & blue[v], BLUE
+            for w in iter_bits(common >> (v + 1)):
+                yield Triangle((u, v, v + 1 + w), color)
 
 
 def enumerate_mono_triangles(
     cg: ColoredGraph, limit: Optional[int] = None
 ) -> list[Triangle]:
     """All (or the first limit) monochromatic triangles, canonical order."""
-    out = []
-    for tri in _merged_mono_scan(cg):
-        out.append(tri)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
-
-
-def _merged_mono_scan(cg: ColoredGraph, live: Optional[int] = None) -> Iterator[Triangle]:
-    # scan_mono_triangles emits per-anchor red before blue; re-sort the few
-    # triangles sharing an anchor pair so the global order is lexicographic
-    pending: list[Triangle] = []
-    last_u = -1
-    for tri in scan_mono_triangles(cg, live):
-        u = tri.vertices[0]
-        if u != last_u:
-            pending.sort(key=lambda t: t.vertices)
-            yield from pending
-            pending = []
-            last_u = u
-        pending.append(tri)
-    pending.sort(key=lambda t: t.vertices)
-    yield from pending
+    return list(islice(scan_mono_triangles(cg), limit))
 
 
 def first_mono_triangle(cg: ColoredGraph, live: Optional[int] = None) -> Optional[Triangle]:
     """Canonically first monochromatic triangle within live, or None."""
-    best: Optional[Triangle] = None
-    for tri in scan_mono_triangles(cg, live):
-        if best is None or tri.vertices < best.vertices:
-            best = tri
-    return best
+    return next(scan_mono_triangles(cg, live), None)
 
 
 def mono_triangle_witness(
@@ -359,7 +355,7 @@ def mono_triangle_witness(
         raise VertexOutOfRangeError(f"vertex {u} outside 0..{n - 1}")
     if v is None:
         for adj, color in ((cg._red, RED), (cg._blue, BLUE)):
-            found = _first_edge_inside(adj, adj[u])
+            found = first_edge_inside(adj, adj[u])
             if found is not None:
                 return Triangle((u,) + found, color)
         return None
@@ -383,8 +379,8 @@ def mono_triangle_witness(
     return None
 
 
-def _first_edge_inside(adj: list[int], inside: int) -> Optional[tuple[int, int]]:
-    # lexicographically first pair x<y with x,y in `inside` and xy an adj-edge
+def first_edge_inside(adj: list[int], inside: int) -> Optional[tuple[int, int]]:
+    """Lexicographically first pair x < y in the mask inside with xy an adj-edge."""
     for x in iter_bits(inside):
         hit = adj[x] & inside >> (x + 1) << (x + 1)
         if hit:

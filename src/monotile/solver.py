@@ -28,6 +28,7 @@ from .graphs import (
     enumerate_mono_triangles,
     first_mono_triangle,
     iter_bits,
+    triangle_color,
 )
 from .rationals import as_fraction, rational_json
 
@@ -229,22 +230,18 @@ def _disjoint_pair(
 
 
 def verify_tiling(cg: ColoredGraph, tiling: Tiling) -> bool:
-    """Recheck every tiling invariant from scratch; never raises."""
+    """Recheck every tiling invariant from scratch; never raises.
+
+    A vertex that is not an int in 0..n-1 (a bool, a float or a string read
+    from a report) makes the tiling invalid.
+    """
     if tiling.mode not in MODES:
         return False
     used = 0
     colors = set()
     for tri in tiling.triangles:
-        a, b, c = tri.vertices
-        if not (0 <= a < cg.n and 0 <= c < cg.n):
-            return False
-        for u, v in ((a, b), (a, c), (b, c)):
-            if not cg.graph.has_edge(u, v):
-                return False
-        edge_colors = {cg.color_of(a, b), cg.color_of(a, c), cg.color_of(b, c)}
-        if len(edge_colors) != 1:
-            return False
-        if tri.color != edge_colors.pop() or tri.color == MIXED:
+        color = triangle_color(cg, *tri.vertices)
+        if color is None or color == MIXED or tri.color != color:
             return False
         if tri.mask & used:
             return False

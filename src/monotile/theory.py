@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
@@ -25,8 +25,10 @@ from .graphs import (
     Graph,
     Tiling,
     Triangle,
+    first_edge_inside,
     iter_bits,
     mask_of,
+    scan_mono_triangles,
 )
 from .rationals import as_fraction
 from .regularity import DegenerateParametersError, t_bound
@@ -513,10 +515,11 @@ def three_part_mono_finder(
     S and at most two of each of P and Q.  Search follows the constructive
     strategy: dominating vertices of S partition P and Q by edge color and
     their classes are scanned for same-color edges; then transversal
-    triangles through S vertices are tried; finally direct enumeration
-    (capped at `budget` triples when given) settles existence.  Every
-    returned triangle is re-validated, and with budget=None the answer
-    matches exhaustive enumeration.
+    triangles through S vertices are tried; finally the lexicographic scan of
+    monochromatic triangles inside P ∪ Q ∪ S (capped at `budget` triangles
+    examined when given) settles existence.  Every returned triangle is
+    re-validated, and with budget=None the answer matches exhaustive
+    enumeration.
     """
     p_mask = mask_of(P)
     q_mask = mask_of(Q)
@@ -567,7 +570,7 @@ def _dominating_path(
             for cls, adj in ((red_class, cg._red), (blue_class, cg._blue)):
                 if alpha_bound is not None and cls.bit_count() <= alpha_bound:
                     continue
-                edge = _first_edge_in(adj, cls)
+                edge = first_edge_inside(adj, cls)
                 if edge is not None:
                     x, y = edge
                     color = RED if adj is cg._red else BLUE
@@ -596,31 +599,11 @@ def _transversal_path(
 def _enumeration_fallback(
     cg: ColoredGraph, p_mask: int, q_mask: int, s_mask: int, budget: Optional[int]
 ) -> Optional[Triangle]:
-    inside = p_mask | q_mask | s_mask
-    examined = 0
-    verts = list(iter_bits(inside))
-    for a, b, c in combinations(verts, 3):
-        if budget is not None:
-            examined += 1
-            if examined > budget:
-                return None
-        g = cg.graph
-        if not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
-            continue
-        colors = {cg.color_of(a, b), cg.color_of(a, c), cg.color_of(b, c)}
-        if len(colors) != 1:
-            continue
-        tri = Triangle((a, b, c), colors.pop())
+    # lexicographically first qualifying triangle; budget caps the
+    # monochromatic triangles examined
+    for tri in islice(scan_mono_triangles(cg, p_mask | q_mask | s_mask), budget):
         if _qualifies(tri, p_mask, q_mask, s_mask):
             return tri
-    return None
-
-
-def _first_edge_in(adj: list[int], inside: int) -> Optional[tuple[int, int]]:
-    for x in iter_bits(inside):
-        hit = adj[x] & inside >> (x + 1) << (x + 1)
-        if hit:
-            return x, (hit & -hit).bit_length() - 1
     return None
 
 

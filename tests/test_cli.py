@@ -7,6 +7,7 @@ checkout, so no install is needed; another runs the installed ``monotile``
 console script and is skipped where none is on ``PATH``.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from monotile.cli import CSV_COLUMNS, run_cli
+from monotile import cli
+from monotile.cli import CSV_COLUMNS, build_parser, run_cli
 from monotile.generators import circulant, parse_sidecar
 from monotile.graphio import dump_graph, load_colored_graph
 from monotile.rationals import rational_json
@@ -494,6 +496,56 @@ class TestExperiment:
 
 
 # ---------------------------------------------------------------------------
+# hostile input
+# ---------------------------------------------------------------------------
+
+K3_RED = "3 3\n0 1 r\n0 2 r\n1 2 r\n"
+RANDOM_ENTRY = {"kind": "random", "n": 7, "seeds": [1]}
+VERIFY = ("verify", "--instance", "{inst}", "--report", "{data}")
+EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
+
+# argv (with {inst}, {data}, {out} filled in), JSON written to {data}, and a
+# fragment the error message must contain.  {inst} is an all-red triangle.
+HOSTILE_INPUTS = [
+    pytest.param(VERIFY, {"tiling": [["a", "b", "c", "r"]]}, "invalid tiling", id="verify-string-vertices"),
+    pytest.param(VERIFY, {"tiling": [[0, 1, 2.5, "r"]]}, "invalid tiling", id="verify-float-vertex"),
+    pytest.param(VERIFY, {"tiling": [[False, 1, 2, "r"]]}, "invalid tiling", id="verify-bool-vertex"),
+    pytest.param(EXPERIMENT, [1, 2], "JSON object", id="config-top-level-list"),
+    pytest.param(EXPERIMENT, {"instances": [5]}, "objects", id="config-entry-not-object"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "budget": "x"}, "budget", id="config-budget-string"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "budget": -5}, "budget", id="config-budget-negative"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "budget": True}, "budget", id="config-budget-bool"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "modes": 5}, "modes", id="config-modes-not-list"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "gamma": [1]}, "gamma", id="config-gamma-list"),
+    pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "n": "x"}]}, "`n`", id="config-n-string"),
+    pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "seeds": [[1]]}]}, "seeds", id="config-seed-list"),
+    pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "p_red": "x"}]}, "p_red", id="config-p-red-string"),
+    pytest.param(("solve", "--instance", "{inst}", "--budget", "-5"), None, "--budget", id="solve-budget-negative"),
+    pytest.param(("theory", "reduce", "--graph", "{inst}", "--budget", "-5"), None, "--budget", id="reduce-budget-negative"),
+    pytest.param(("solve", "--instance", "{inst}", "--threads", "2"), None, "--threads", id="solve-threads-removed"),
+    pytest.param((*EXPERIMENT, "--threads", "2"), {"instances": [RANDOM_ENTRY]}, "--threads", id="experiment-threads-removed"),
+]
+
+
+@pytest.mark.parametrize("argv, data, fragment", HOSTILE_INPUTS)
+def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
+    paths = {"inst": tmp_path / "k3.edges", "data": tmp_path / "data.json", "out": tmp_path / "runs.csv"}
+    paths["inst"].write_text(K3_RED)
+    paths["data"].write_text(json.dumps(data))
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert fragment in err
+
+
+def test_zero_budget_stays_valid(tmp_path, capsys):
+    inst = tmp_path / "k3.edges"
+    inst.write_text(K3_RED)
+    code, out, _ = run(capsys, "solve", "--instance", str(inst), "--budget", "0")
+    assert code == 0
+    assert json.loads(out)["exact"] is False
+
+
+# ---------------------------------------------------------------------------
 # top-level behaviour
 # ---------------------------------------------------------------------------
 
@@ -504,6 +556,23 @@ class TestTopLevel:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 1
+
+    def test_every_parsed_option_is_read(self):
+        # every destination a (sub)parser declares must be read as
+        # args.<dest> somewhere in cli.py: no flag is parsed and ignored
+        source = Path(cli.__file__).read_text()
+        parsers = [build_parser()]
+        unread = []
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                if not re.search(rf"\bargs\.{action.dest}\b", source):
+                    unread.append(f"{parser.prog}: {action.dest}")
+        assert unread == []
 
     def test_installed_script_runs_bounds(self):
         # Run the [project.scripts] target the way pip's generated wrapper

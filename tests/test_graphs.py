@@ -1,6 +1,7 @@
 """Graph core: construction, validation, triangle scans, witnesses."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,8 @@ from monotile.graphs import (
     iter_bits,
     mask_of,
     mono_triangle_witness,
+    scan_mono_triangles,
+    triangle_color,
     triangle_in,
 )
 
@@ -152,6 +155,26 @@ class TestTriangle:
         with pytest.raises(GraphError):
             triangle_in(cg3, 0, 1, 2)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_triangle_color_matches_edge_colors(self, seed):
+        cg = random_colored(7, 0.7, 0.5, seed)
+        for a, b, c in combinations(range(7), 3):
+            pairs = ((a, b), (a, c), (b, c))
+            if all(cg.graph.has_edge(u, v) for u, v in pairs):
+                colors = {cg.color_of(u, v) for u, v in pairs}
+                expected = colors.pop() if len(colors) == 1 else MIXED
+            else:
+                expected = None
+            assert triangle_color(cg, a, b, c) == expected
+            assert triangle_color(cg, c, a, b) == expected
+
+    @pytest.mark.parametrize(
+        "triple", [(0, 1, 7), (-1, 1, 2), (0, 1, 2.0), ("a", "b", "c"), (False, 1, 2), (0, 0, 1)]
+    )
+    def test_triangle_color_rejects_non_vertices(self, triple):
+        cg = random_colored(7, 1.0, 0.5, seed=0)  # complete, so only the input is at fault
+        assert triangle_color(cg, *triple) is None
+
 
 class TestTiling:
     def test_size_and_len(self):
@@ -189,6 +212,12 @@ class TestMonoTriangleScan:
             tris = enumerate_mono_triangles(cg)
             first = first_mono_triangle(cg)
             assert first == (tris[0] if tris else None)
+            rng = random.Random(seed)
+            for _ in range(20):
+                live = rng.getrandbits(cg.n)
+                inside = [t for t in oracles.mono_triangles(cg) if t.mask & live == t.mask]
+                assert list(scan_mono_triangles(cg, live)) == inside
+                assert first_mono_triangle(cg, live) == (inside[0] if inside else None)
 
     def test_live_mask_restricts_scan(self):
         cg = build_colored_graph(

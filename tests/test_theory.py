@@ -380,6 +380,44 @@ class TestThreePartFinder:
             assert len(vs & set(P)) <= 2
             assert len(vs & set(Q)) <= 2
 
+    def lex_first_qualifying(self, cg, P, Q, S):
+        ps, qs, ss = set(P), set(Q), set(S)
+        for tri in oracles.mono_triangles(cg):
+            vs = set(tri.vertices)
+            if vs <= ps | qs | ss and len(vs & ss) <= 1 and len(vs & ps) <= 2 and len(vs & qs) <= 2:
+                return tri
+        return None
+
+    def test_empty_s_falls_back_to_first_qualifying(self):
+        # with S empty neither the dominating nor the transversal path can
+        # fire, so the answer comes from the enumeration fallback; (0,1,2)
+        # sits inside P and (0,1,4) is mixed, so the first qualifying
+        # triangle is the blue (0,4,6), ahead of the red (1,2,5)
+        edges = [
+            (0, 1, RED), (0, 2, RED), (1, 2, RED),
+            (0, 4, BLUE), (1, 4, BLUE),
+            (0, 6, BLUE), (4, 6, BLUE),
+            (1, 5, RED), (2, 5, RED),
+        ]
+        cg = build_colored_graph(8, edges)
+        P, Q = range(4), range(4, 8)
+        tri = three_part_mono_finder(cg, P, Q, [], Fraction(3, 10), Fraction(1, 100))
+        assert tri == self.lex_first_qualifying(cg, P, Q, [])
+        assert tri.vertices == (0, 4, 6) and tri.color == BLUE
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_empty_s_matches_brute_force(self, seed):
+        rng = random.Random(100 + seed)
+        edges = [
+            (u, v, RED if rng.random() < 0.5 else BLUE)
+            for u, v in combinations(range(10), 2)
+            if rng.random() < 0.5
+        ]
+        cg = build_colored_graph(10, edges)
+        P, Q = range(5), range(5, 10)
+        tri = three_part_mono_finder(cg, P, Q, [], Fraction(3, 10), Fraction(1, 100))
+        assert tri == self.lex_first_qualifying(cg, P, Q, [])
+
     def test_all_red_blowup(self):
         cg = random_coloring(complete_graph(18), 1.0, seed=0)
         tri = three_part_mono_finder(
