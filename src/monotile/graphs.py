@@ -251,6 +251,18 @@ class Triangle:
         return 1 << a | 1 << b | 1 << c
 
 
+def _scanned_triangle(vertices: tuple[int, int, int], color: str) -> Triangle:
+    """Triangle record built without __post_init__, for scan_mono_triangles.
+
+    The scan emits sorted, distinct vertices and a RED or BLUE color, so the
+    public constructor's re-sort and checks would only repeat its work.
+    """
+    tri = object.__new__(Triangle)
+    object.__setattr__(tri, "vertices", vertices)
+    object.__setattr__(tri, "color", color)
+    return tri
+
+
 @dataclass(frozen=True)
 class Tiling:
     """Vertex-disjoint monochromatic triangles; see verify_tiling for checks."""
@@ -319,7 +331,7 @@ def scan_mono_triangles(
             else:
                 common, color = blue_u & blue[v], BLUE
             for w in iter_bits(common >> (v + 1)):
-                yield Triangle((u, v, v + 1 + w), color)
+                yield _scanned_triangle((u, v, v + 1 + w), color)
 
 
 def enumerate_mono_triangles(

@@ -5,6 +5,16 @@ hypergraph.  At every node it branches on the lexicographically first vertex
 still covered by some live triangle (cover it with one of its triangles, or
 discard it), prunes with floor(coverable/3), and keeps a greedy completion as
 the incumbent.  Everything is deterministic; budgets count node expansions.
+
+The search state is bit-parallel, as in BBMC (San Segundo et al., Comput.
+Oper. Res. 2011): live is a bitset over triangle ids, hits[v] holds the ids
+of the triangles through vertex v and near[v] the vertices of those
+triangles, and cover is the set of vertices that still have a live triangle.
+Covering abc removes hits[a] | hits[b] | hits[c] from live, discarding v
+removes hits[v], and only the cover vertices in the near masks of the removed
+vertices are rechecked, so a node costs the work that changed rather than the
+number of triangles.  Open nodes wait on an explicit stack, so the depth of
+the search is not limited by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -80,53 +90,70 @@ def _as_tiling(triangles: Sequence[Triangle], mode: str) -> Tiling:
 def _pack_exact(
     triangles: list[Triangle], budget: Optional[int]
 ) -> tuple[list[Triangle], int, bool, int]:
-    masks = [t.mask for t in triangles]
-    cand_at: dict[int, list[int]] = {}
-    for i, m in enumerate(masks):
-        for v in iter_bits(m):
-            cand_at.setdefault(v, []).append(i)
+    verts = [t.vertices for t in triangles]
+    n = 1 + max((c for _, _, c in verts), default=-1)
+    hits = [0] * n  # vertex -> bitset of the ids of its triangles
+    near = [0] * n  # vertex -> vertex mask of those triangles
+    root_cover = 0
+    for i, (a, b, c) in enumerate(verts):
+        mask = 1 << a | 1 << b | 1 << c
+        root_cover |= mask
+        for v in (a, b, c):
+            hits[v] |= 1 << i
+            near[v] |= mask
+
+    def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
+        # Remove the triangle ids in gone from live and the vertices in
+        # touched that lost their last live triangle from cover.
+        live &= ~gone
+        check = cover & touched
+        while check:
+            low = check & -check
+            if not hits[low.bit_length() - 1] & live:
+                cover ^= low
+            check ^= low
+        return live, cover
+
+    def greedy_tail(live: int) -> list[int]:
+        extra = []
+        while live:
+            i = (live & -live).bit_length() - 1
+            extra.append(i)
+            a, b, c = verts[i]
+            live &= ~(hits[a] | hits[b] | hits[c])
+        return extra
 
     best_count = -1
     best_choice: list[int] = []
     nodes = 0
     exhausted = False
     root_bound = 0
-
-    def greedy_tail(used: int, live: list[int]) -> list[int]:
-        extra = []
-        for i in live:
-            if masks[i] & used == 0:
-                extra.append(i)
-                used |= masks[i]
-        return extra
-
-    def rec(used: int, chosen: list[int]) -> None:
-        nonlocal best_count, best_choice, nodes, exhausted, root_bound
-        if exhausted:
-            return
+    # Each entry is (live, cover, chosen); children are pushed in reverse so
+    # they pop in branching order: triangles through v by id, then discard v.
+    stack = [((1 << len(verts)) - 1, root_cover, [])]
+    while stack:
+        live, cover, chosen = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
             exhausted = True
-            return
-        live = [i for i, m in enumerate(masks) if m & used == 0]
-        live_union = 0
-        for i in live:
-            live_union |= masks[i]
+            break
+        bound = cover.bit_count() // 3
         if nodes == 1:
-            root_bound = live_union.bit_count() // 3
-        extra = greedy_tail(used, live)
+            root_bound = bound
+        extra = greedy_tail(live)
         if len(chosen) + len(extra) > best_count:
             best_count = len(chosen) + len(extra)
             best_choice = chosen + extra
-        if len(chosen) + live_union.bit_count() // 3 <= best_count:
-            return
-        v = (live_union & -live_union).bit_length() - 1
-        for i in cand_at[v]:
-            if masks[i] & used == 0:
-                rec(used | masks[i], chosen + [i])
-        rec(used | 1 << v, chosen)
-
-    rec(0, [])
+        if len(chosen) + bound <= best_count:
+            continue
+        v = (cover & -cover).bit_length() - 1
+        stack.append((*drop(live, cover ^ 1 << v, hits[v], near[v]), chosen))
+        for i in reversed(list(iter_bits(hits[v] & live))):
+            a, b, c = verts[i]
+            gone = hits[a] | hits[b] | hits[c]
+            touched = near[a] | near[b] | near[c]
+            cover_abc = cover & ~(1 << a | 1 << b | 1 << c)
+            stack.append((*drop(live, cover_abc, gone, touched), chosen + [i]))
     return [triangles[i] for i in best_choice], nodes, not exhausted, root_bound
 
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from monotile.graphs import BLUE, RED, ColoredGraph, Graph, Triangle
+from monotile.graphs import (
+    BLUE,
+    RED,
+    ColoredGraph,
+    Graph,
+    Triangle,
+    build_colored_graph,
+)
 
 
 def mono_triangles(cg: ColoredGraph) -> list[Triangle]:
@@ -52,6 +59,17 @@ def max_packing_size(triangles: list[Triangle]) -> int:
     result = best(0)
     best.cache_clear()
     return result
+
+
+def greedy_traps(k: int) -> ColoredGraph:
+    """k disjoint 6-vertex gadgets with the red triangles 012, 034 and 125.
+
+    Greedy in id order takes 012 and stops; the optimum is 034 plus 125, so
+    the maximum tiling has 2k triangles and greedy finds k.
+    """
+    gadget = ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (2, 5))
+    edges = [(6 * g + a, 6 * g + b, RED) for g in range(k) for a, b in gadget]
+    return build_colored_graph(6 * k, edges)
 
 
 def max_weak_size(cg: ColoredGraph) -> int:

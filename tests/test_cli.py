@@ -1,10 +1,11 @@
 """End-to-end tests for the command-line front end.
 
 Each subcommand runs through ``run_cli`` in-process so exit codes, stdout,
-and written files can be checked directly. One smoke test runs the entry
-point declared in ``pyproject.toml`` in a subprocess from the source
-checkout, so no install is needed; another runs the installed ``monotile``
-console script and is skipped where none is on ``PATH``.
+and written files can be checked directly. Two smoke tests run the entry
+point declared in ``pyproject.toml`` and ``python -m monotile`` in a
+subprocess from the source checkout, so no install is needed; another runs
+the installed ``monotile`` console script and is skipped where none is on
+``PATH``.
 """
 
 import argparse
@@ -22,9 +23,11 @@ import pytest
 from monotile import cli
 from monotile.cli import CSV_COLUMNS, build_parser, run_cli
 from monotile.generators import circulant, parse_sidecar
-from monotile.graphio import dump_graph, load_colored_graph
+from monotile.graphio import dump_colored_graph, dump_graph, load_colored_graph
 from monotile.rationals import rational_json
 from monotile.solver import bound_table
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -48,6 +51,14 @@ def run_script(script, *argv, env=None):
         env=env,
         timeout=SUBPROCESS_TIMEOUT_S,
     )
+
+
+def checkout_env():
+    """Environment with this checkout's absolute src/ first on PYTHONPATH
+    (the documented PYTHONPATH=src is relative to the working directory)."""
+    inherited = os.environ.get("PYTHONPATH")
+    paths = [str(REPO_ROOT / "src")] + ([inherited] if inherited else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def assert_bounds_reference_point(proc):
@@ -545,6 +556,21 @@ def test_zero_budget_stays_valid(tmp_path, capsys):
     assert json.loads(out)["exact"] is False
 
 
+def test_deep_instance_solves_without_traceback(tmp_path, capsys):
+    # 1,100 disjoint gadgets: the search goes thousands of levels deep, past
+    # the interpreter's default recursion limit of 1,000.
+    inst = tmp_path / "traps.edges"
+    inst.write_text(dump_colored_graph(oracles.greedy_traps(1100)))
+    report = tmp_path / "traps.json"
+    code, _, err = run(capsys, "solve", "--exact", "--budget", "2500",
+                       "--instance", str(inst), "--out", str(report))
+    assert code == 0, err
+    assert json.loads(report.read_text())["nodes"] == 2501
+    code, out, _ = run(capsys, "verify", "--instance", str(inst),
+                       "--report", str(report))
+    assert (code, out.strip()) == (0, "valid")
+
+
 # ---------------------------------------------------------------------------
 # top-level behaviour
 # ---------------------------------------------------------------------------
@@ -587,16 +613,23 @@ class TestTopLevel:
             f"import sys; from {module} import {attr}; "
             f"sys.argv[0] = 'monotile'; sys.exit({attr}())",
         ]
-        # Absolute src/ first: the documented PYTHONPATH=src is cwd-relative.
-        inherited = os.environ.get("PYTHONPATH")
-        paths = [str(REPO_ROOT / "src")] + ([inherited] if inherited else [])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        env = checkout_env()
 
         proc = run_script(script, *BOUNDS_REFERENCE_ARGV, env=env)
         assert_bounds_reference_point(proc)
 
         # main() must hand run_cli's code on as the process exit status.
         proc = run_script(script, "bounds", "--n", "10", "--delta", "10", env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.strip()
+
+    def test_python_m_runs_bounds(self):
+        script = [sys.executable, "-m", "monotile"]
+        proc = run_script(script, *BOUNDS_REFERENCE_ARGV, env=checkout_env())
+        assert_bounds_reference_point(proc)
+
+        proc = run_script(script, "bounds", "--n", "10", "--delta", "10",
+                          env=checkout_env())
         assert proc.returncode == 1
         assert proc.stderr.strip()
 

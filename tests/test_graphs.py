@@ -195,6 +195,13 @@ class TestMonoTriangleScan:
         cg = random_colored(9, 0.6, 0.5, seed)
         assert enumerate_mono_triangles(cg) == oracles.mono_triangles(cg)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_scanned_records_equal_validated_ones(self, seed):
+        # the scan builds its records without the public constructor's checks
+        cg = random_colored(9, 0.6, 0.5, seed)
+        for t in scan_mono_triangles(cg):
+            assert t == Triangle(t.vertices, t.color)
+
     def test_enumeration_is_lexicographic(self):
         cg = random_colored(10, 0.7, 0.5, seed=3)
         tris = enumerate_mono_triangles(cg)

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from monotile.errors import ParameterOutOfRangeError
-from monotile.generators import complete_graph, extremal_instance, random_coloring
+from monotile.generators import (
+    complete_graph,
+    extremal_instance,
+    five_part_instance,
+    random_coloring,
+)
 from monotile.graphs import (
     BLUE,
     RED,
@@ -106,6 +111,77 @@ class TestExactSolver:
         cg = random_colored(12, 0.8, 0.5, seed=0)
         res = max_mono_tiling_exact(cg, WEAK, budget=2)
         assert verify_tiling(cg, res.tiling)
+
+
+def pinned_instance(spec):
+    kind, *args = spec
+    if kind == "extremal":
+        n, delta, seed = args
+        return extremal_instance(n, delta, seed=seed).colored_graph
+    if kind == "traps":
+        return oracles.greedy_traps(*args)
+    m, density, seed = args
+    return five_part_instance(m, density, 0.5, seed).colored_graph
+
+
+# (instance, mode, budget) -> (size, exact, nodes_expanded, upper_bound_used,
+# tiling as "a-b-c<color>" words).  The node counts and the budgeted
+# incumbents depend on the branching order (triangles through the first
+# covered vertex by id, then discarding it) and on the greedy tail taking the
+# lowest-id live triangle first.
+TRAPS_10_TILING = " ".join(
+    f"{o}-{o + 3}-{o + 4}r {o + 1}-{o + 2}-{o + 5}r" for o in range(0, 60, 6)
+)
+SEARCH_ORDER_PINS = [
+    (("extremal", 40, 22, 1), "weak", 1000, 4, False, 1001, 7,
+     "18-19-36b 20-23-37b 21-25-38b 22-24-39b"),
+    (("extremal", 60, 33, 1), "weak", 1000, 6, False, 1001, 11,
+     "27-29-54b 28-30-55b 31-33-56b 32-35-57b 34-37-58b 36-40-59b"),
+    (("traps", 10), "weak", None, 20, True, 256, 20,
+     TRAPS_10_TILING),
+    (("traps", 10), "strong", None, 20, True, 257, 20,
+     TRAPS_10_TILING),
+    (("five-part", 8, 0.5, 0), "weak", None, 7, True, 2255, 11,
+     "0-13-16b 1-25-39b 2-12-17r 3-8-23b 4-28-33r 5-14-21r 7-31-34b"),
+    (("five-part", 8, 0.5, 0), "weak", 50, 6, False, 51, 11,
+     "0-13-16b 1-12-22b 3-8-23b 4-28-33r 5-14-21r 7-25-32r"),
+    (("five-part", 8, 0.5, 0), "strong", None, 7, True, 38, 8,
+     "0-27-34r 1-26-36r 2-12-17r 3-30-35r 4-28-33r 5-14-21r 7-25-32r"),
+    (("five-part", 8, 0.5, 0), "strong", 50, 7, True, 38, 8,
+     "0-27-34r 1-26-36r 2-12-17r 3-30-35r 4-28-33r 5-14-21r 7-25-32r"),
+    (("five-part", 8, 0.5, 1), "weak", None, 7, True, 9706, 12,
+     "0-11-16b 1-8-21b 2-12-19r 3-14-18b 5-15-20b 6-29-34r 7-24-35r"),
+    (("five-part", 8, 0.5, 1), "weak", 50, 7, False, 51, 12,
+     "0-11-16b 1-8-21b 2-12-19r 3-14-18b 5-15-20b 6-29-34r 7-24-35r"),
+    (("five-part", 8, 0.5, 1), "strong", None, 7, True, 615, 10,
+     "0-13-18r 1-27-39r 2-12-19r 3-9-16r 5-28-35r 6-29-34r 7-24-36r"),
+    (("five-part", 8, 0.5, 1), "strong", 50, 7, False, 52, 10,
+     "0-13-18r 1-27-39r 2-12-19r 3-9-16r 5-28-35r 6-29-34r 7-24-36r"),
+    (("five-part", 8, 0.5, 2), "weak", None, 8, True, 55, 10,
+     "0-10-23b 1-12-16b 2-11-17r 3-26-34r 4-25-33b 5-13-18b 6-8-21r 7-27-32r"),
+    (("five-part", 8, 0.5, 2), "weak", 50, 8, False, 51, 10,
+     "0-10-23b 1-12-16b 2-11-17r 3-26-34r 4-25-33b 5-13-18b 6-8-21r 7-27-32r"),
+    (("five-part", 8, 0.5, 2), "strong", None, 5, True, 16, 6,
+     "2-11-17r 3-26-34r 4-27-32r 6-8-21r 7-13-20r"),
+    (("five-part", 8, 0.5, 2), "strong", 50, 5, True, 16, 6,
+     "2-11-17r 3-26-34r 4-27-32r 6-8-21r 7-13-20r"),
+]
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "spec, mode, budget, size, exact, nodes, bound, tiling", SEARCH_ORDER_PINS
+    )
+    def test_pinned_search(self, spec, mode, budget, size, exact, nodes, bound, tiling):
+        cg = pinned_instance(spec)
+        res = max_mono_tiling_exact(cg, mode, budget)
+        got = " ".join(
+            "%d-%d-%d%s" % (*t.vertices, t.color) for t in res.tiling.triangles
+        )
+        assert (res.tiling.size, res.exact, res.nodes_expanded, res.upper_bound_used) == (
+            size, exact, nodes, bound,
+        )
+        assert got == tiling
 
 
 class TestHeuristic:
