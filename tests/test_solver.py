@@ -124,14 +124,15 @@ def pinned_instance(spec):
     return five_part_instance(m, density, 0.5, seed).colored_graph
 
 
+TRAPS_10_TILING = " ".join(
+    f"{o}-{o + 3}-{o + 4}r {o + 1}-{o + 2}-{o + 5}r" for o in range(0, 60, 6)
+)
+
 # (instance, mode, budget) -> (size, exact, nodes_expanded, upper_bound_used,
 # tiling as "a-b-c<color>" words).  The node counts and the budgeted
 # incumbents depend on the branching order (triangles through the first
 # covered vertex by id, then discarding it) and on the greedy tail taking the
 # lowest-id live triangle first.
-TRAPS_10_TILING = " ".join(
-    f"{o}-{o + 3}-{o + 4}r {o + 1}-{o + 2}-{o + 5}r" for o in range(0, 60, 6)
-)
 SEARCH_ORDER_PINS = [
     (("extremal", 40, 22, 1), "weak", 1000, 4, False, 1001, 7,
      "18-19-36b 20-23-37b 21-25-38b 22-24-39b"),
