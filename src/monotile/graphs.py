@@ -367,7 +367,7 @@ def mono_triangle_witness(
         raise VertexOutOfRangeError(f"vertex {u} outside 0..{n - 1}")
     if v is None:
         for adj, color in ((cg._red, RED), (cg._blue, BLUE)):
-            found = first_edge_inside(adj, adj[u])
+            found = next(edges_inside(adj, adj[u]), None)
             if found is not None:
                 return Triangle((u,) + found, color)
         return None
@@ -378,23 +378,18 @@ def mono_triangle_witness(
     common = cg._red[u] & cg._blue[v]
     if alpha_bound is not None and common.bit_count() < alpha_bound + 1:
         return None
-    for x in iter_bits(common):
-        rest = common >> (x + 1) << (x + 1)
-        red_hit = cg._red[x] & rest
-        blue_hit = cg._blue[x] & rest
-        hit = red_hit | blue_hit
-        if hit:
-            y = (hit & -hit).bit_length() - 1
-            if red_hit >> y & 1:
-                return Triangle((u, x, y), RED)
-            return Triangle((v, x, y), BLUE)
-    return None
+    # the first edge of G inside common; its colour picks the apex
+    found = next(edges_inside(cg.graph._adj, common), None)
+    if found is None:
+        return None
+    x, y = found
+    if cg._red[x] >> y & 1:
+        return Triangle((u, x, y), RED)
+    return Triangle((v, x, y), BLUE)
 
 
-def first_edge_inside(adj: list[int], inside: int) -> Optional[tuple[int, int]]:
-    """Lexicographically first pair x < y in the mask inside with xy an adj-edge."""
+def edges_inside(adj: list[int], inside: int) -> Iterator[tuple[int, int]]:
+    """Pairs x < y in the mask inside with xy an adj-edge, lexicographically."""
     for x in iter_bits(inside):
-        hit = adj[x] & inside >> (x + 1) << (x + 1)
-        if hit:
-            return x, (hit & -hit).bit_length() - 1
-    return None
+        for y in iter_bits(adj[x] & inside >> (x + 1) << (x + 1)):
+            yield x, y

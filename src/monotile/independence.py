@@ -4,6 +4,9 @@ These are the oracles behind the extremal generators: part graphs must be
 triangle-free, and their achieved independence numbers are reported on every
 instance.  The solver is a plain branch-and-bound on bitmasks with a greedy
 clique-cover bound, which is plenty at part sizes of a few dozen vertices.
+Like the triangle packer it runs on an explicit stack of open nodes
+(candidate mask, chosen mask), so its depth is not tied to Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -45,36 +48,35 @@ def max_independent_set_exact(g: Graph, budget: Optional[int] = None) -> Indepen
     best_mask = _greedy_independent(adj, full)
     best = best_mask.bit_count()
     nodes = 0
-    exhausted = False
-
-    def search(candidates: int, chosen_mask: int, count: int) -> None:
-        nonlocal best, best_mask, nodes, exhausted
-        if exhausted:
-            return
+    exact = True
+    # open nodes (candidates, chosen); include is pushed after exclude so it
+    # pops first
+    stack = [(full, 0)]
+    while stack:
+        candidates, chosen = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
-            exhausted = True
-            return
+            exact = False
+            break
+        count = chosen.bit_count()
         if not candidates:
             if count > best:
                 best = count
-                best_mask = chosen_mask
-            return
+                best_mask = chosen
+            continue
         if count + _clique_cover_bound(adj, candidates) <= best:
-            return
+            continue
         v = _branch_vertex(adj, candidates)
         bit = 1 << v
-        search(candidates & ~adj[v] & ~bit, chosen_mask | bit, count + 1)
-        search(candidates & ~bit, chosen_mask, count)
-
-    search(full, 0, 0)
+        stack.append((candidates & ~bit, chosen))
+        stack.append((candidates & ~adj[v] & ~bit, chosen | bit))
 
     witness = frozenset(iter_bits(best_mask))
     for v in witness:
         if adj[v] & best_mask:
             raise AssertionError("independence witness touches an edge")
     return IndependenceResult(
-        alpha=best, witness=witness, exact=not exhausted, nodes_expanded=nodes
+        alpha=best, witness=witness, exact=exact, nodes_expanded=nodes
     )
 
 

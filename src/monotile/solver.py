@@ -57,8 +57,9 @@ def max_mono_tiling_exact(
     """Maximum weak or strong monochromatic triangle tiling.
 
     Strong mode solves each color class separately and returns the better
-    result, red on ties.  exact=False means a budget ran out and the incumbent
-    is only a lower bound.
+    result, red on ties.  The budget caps each search, so strong mode can
+    expand at most 2·(budget+1) nodes in all.  exact=False means a budget ran
+    out and the incumbent is only a lower bound.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")

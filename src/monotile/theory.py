@@ -5,6 +5,12 @@ parameters deciding the perfect-tiling threshold), the padded auxiliary-graph
 reduction whose perfect bowtie tilings certify triangle-tiling counts, the
 exact bowtie packer, and the constructive monochromatic-triangle finders used
 on three-part and five-part shapes.
+
+The bowtie packer runs on an explicit stack, like the triangle packer and the
+independence search, but each frame is a lazy iterator over one node's
+children: a vertex of a dense auxiliary graph can lie in hundreds of
+thousands of bowties, far more than the nodes a budgeted search expands, so
+they are generated only as the search reaches them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
 from .generators import FivePartInstance
@@ -25,7 +31,7 @@ from .graphs import (
     Graph,
     Tiling,
     Triangle,
-    first_edge_inside,
+    edges_inside,
     iter_bits,
     mask_of,
     scan_mono_triangles,
@@ -75,17 +81,20 @@ def bowtie_graph() -> Graph:
 def chromatic_parameters(h: Graph) -> ChromaticProfile:
     """Full chromatic tiling profile of a small graph.
 
-    Enumerates every proper chi-coloring, takes sigma as the smallest class
-    over all of them, and derives the divisibility parameters from class-size
-    differences and component-order differences, with gcd(inf, t) = t.
+    chi is the fewest classes of a proper partition of H and sigma the
+    smallest class over every proper chi-partition; the divisibility
+    parameters come from class-size differences and component-order
+    differences, with gcd(inf, t) = t.
     chi_star follows chi_cr exactly when hcf = 1 and chi otherwise.
     """
     if h.n > CHROMATIC_SIZE_LIMIT:
         raise TooLargeError(f"profile needs |H| <= {CHROMATIC_SIZE_LIMIT}, got {h.n}")
     if h.n == 0 or h.num_edges == 0:
         raise ValueError("chromatic profile needs at least one edge")
-    chi = _chromatic_number(h)
-    multisets = _class_size_multisets(h, chi)
+    for chi in range(2, h.n + 1):
+        multisets = _class_size_multisets(h, chi)
+        if multisets:
+            break
     sigma = min(min(sizes) for sizes in multisets)
     class_diffs = {
         abs(a - b) for sizes in multisets for a in sizes for b in sizes
@@ -100,43 +109,10 @@ def chromatic_parameters(h: Graph) -> ChromaticProfile:
     return ChromaticProfile(chi, sigma, chi_cr, hcf_chi, hcf_c, hcf, chi_star)
 
 
-def _chromatic_number(h: Graph) -> int:
-    n = h.n
-    order = sorted(range(n), key=lambda v: (-h.degree(v), v))
-    adj = [h.neighbors_mask(v) for v in range(n)]
-
-    def colorable(k: int) -> bool:
-        colors = [-1] * n
-
-        def assign(i: int, used: int) -> bool:
-            if i == n:
-                return True
-            v = order[i]
-            forbidden = 0
-            for u in iter_bits(adj[v]):
-                if colors[u] >= 0:
-                    forbidden |= 1 << colors[u]
-            limit = min(k, used + 1)
-            for c in range(limit):
-                if forbidden >> c & 1:
-                    continue
-                colors[v] = c
-                if assign(i + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-            return False
-
-        return assign(0, 0)
-
-    for k in range(2, n + 1):
-        if colorable(k):
-            return k
-    raise AssertionError("unreachable: every graph is n-colorable")
-
-
 def _class_size_multisets(h: Graph, chi: int) -> set[tuple[int, ...]]:
-    # unordered proper partitions into exactly chi classes; each partition is
-    # visited once because classes are opened in order of their least vertex
+    # class sizes of the unordered proper partitions into exactly chi classes
+    # (empty when there are none); each partition is visited once because
+    # classes are opened in order of their least vertex
     n = h.n
     adj = [h.neighbors_mask(v) for v in range(n)]
     found: set[tuple[int, ...]] = set()
@@ -161,8 +137,6 @@ def _class_size_multisets(h: Graph, chi: int) -> set[tuple[int, ...]]:
             classes.pop()
 
     visit(0)
-    if not found:
-        raise AssertionError("no proper chi-coloring found at chi")
     return found
 
 
@@ -316,18 +290,12 @@ class F2TilingResult:
     nodes_expanded: int
 
 
-def _edges_inside(adj: list[int], inside: int) -> Iterable[tuple[int, int]]:
-    for a in iter_bits(inside):
-        for b in iter_bits(adj[a] & inside >> (a + 1) << (a + 1)):
-            yield a, b
-
-
 def _copies_through(adj: list[int], v: int, avail: int) -> Iterable[F2Copy]:
     # all bowties using v with every vertex in avail, each generated once
     bit = 1 << v
     rest = avail & ~bit
     # v as center: two disjoint edges inside N(v)
-    wing_edges = list(_edges_inside(adj, adj[v] & rest))
+    wing_edges = list(edges_inside(adj, adj[v] & rest))
     for i, (a, b) in enumerate(wing_edges):
         pair_mask = 1 << a | 1 << b
         for c, d in wing_edges[i + 1 :]:
@@ -338,7 +306,7 @@ def _copies_through(adj: list[int], v: int, avail: int) -> Iterable[F2Copy]:
         pair_mask = bit | 1 << b
         for c in iter_bits(adj[v] & adj[b] & rest & ~pair_mask):
             others = adj[c] & rest & ~pair_mask & ~(1 << c)
-            for d, e in _edges_inside(adj, others):
+            for d, e in edges_inside(adj, others):
                 yield F2Copy(c, ((v, b), (d, e)))
 
 
@@ -369,46 +337,46 @@ def f2_tiling_exact(
 
     best: list[F2Copy] = []
     nodes = 0
-    exhausted = False
-    done = False
-
-    def rec(blocked: int, chosen: list[F2Copy]) -> None:
-        nonlocal best, nodes, exhausted, done
-        if done or exhausted:
-            return
+    exact = True
+    # Each entry iterates one open node's children (free, chosen) in
+    # branching order.
+    stack = [iter([(full, [])])]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        free, chosen = child
         nodes += 1
         if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        free = full & ~blocked
-        if not free:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            if require_perfect:
-                done = True
-            return
+            exact = False
+            break
+        if require_perfect and not free:
+            best = chosen  # the only place perfect mode sets best
+            break
         limit = min(free.bit_count() // 5, (free & ~anchor).bit_count() // 3)
         if require_perfect:
             if limit < free.bit_count() // 5:
-                return
+                continue
         else:
             if len(chosen) > len(best):
-                best = list(chosen)
+                best = chosen
             if len(chosen) + limit <= len(best):
-                return
+                continue
         v = min(iter_bits(free), key=lambda u: (adj[u] & free).bit_count())
-        for copy in _copies_through(adj, v, free):
-            rec(blocked | copy.mask, chosen + [copy])
-            if done or exhausted:
-                return
-        if not require_perfect:
-            rec(blocked | 1 << v, chosen)
+        stack.append(_f2_children(adj, v, free, chosen, not require_perfect))
+    return F2TilingResult(tuple(best), len(best) * 5 == n, exact, nodes)
 
-    rec(0, [])
-    perfect = len(best) * 5 == n
-    if require_perfect and not (perfect and done):
-        return F2TilingResult((), False, not exhausted, nodes)
-    return F2TilingResult(tuple(best), perfect, not exhausted, nodes)
+
+def _f2_children(
+    adj: list[int], v: int, free: int, chosen: list[F2Copy], discard: bool
+) -> Iterator[tuple[int, list[F2Copy]]]:
+    # cover v with each of its bowties in generation order, then (maximum
+    # mode) discard v
+    for copy in _copies_through(adj, v, free):
+        yield free & ~copy.mask, chosen + [copy]
+    if discard:
+        yield free & ~(1 << v), chosen
 
 
 @dataclass(frozen=True)
@@ -570,7 +538,7 @@ def _dominating_path(
             for cls, adj in ((red_class, cg._red), (blue_class, cg._blue)):
                 if alpha_bound is not None and cls.bit_count() <= alpha_bound:
                     continue
-                edge = first_edge_inside(adj, cls)
+                edge = next(edges_inside(adj, cls), None)
                 if edge is not None:
                     x, y = edge
                     color = RED if adj is cg._red else BLUE

@@ -21,6 +21,7 @@ from monotile.graphs import (
     VertexOutOfRangeError,
     build_colored_graph,
     color_class_views,
+    edges_inside,
     enumerate_mono_triangles,
     first_mono_triangle,
     iter_bits,
@@ -176,6 +177,29 @@ class TestTriangle:
         assert triangle_color(cg, *triple) is None
 
 
+class TestEdgesInside:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_sorted_brute_force(self, seed):
+        # every adj-edge with both ends in the mask, each once as x < y, in
+        # (x, y) order
+        cg = random_colored(9, 0.6, 0.5, seed)
+        rng = random.Random(seed)
+        views = [
+            [cg.red_mask(v) for v in range(9)],
+            [cg.blue_mask(v) for v in range(9)],
+            [cg.graph.neighbors_mask(v) for v in range(9)],
+        ]
+        for _ in range(20):
+            inside = rng.getrandbits(9)
+            members = [v for v in range(9) if inside >> v & 1]
+            for adj in views:
+                expected = sorted(
+                    (x, y) for x in members for y in members
+                    if x < y and adj[x] >> y & 1
+                )
+                assert list(edges_inside(adj, inside)) == expected
+
+
 class TestTiling:
     def test_size_and_len(self):
         t = Tiling((Triangle((0, 1, 2), RED),), WEAK)
@@ -305,3 +329,24 @@ class TestWitness:
                 assert (
                     cg.color_of(a, b) == cg.color_of(a, c) == cg.color_of(b, c) == t.color
                 )
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_two_vertex_form_takes_first_common_edge(self, seed):
+        # the lexicographically first edge xy inside N_R(u) & N_B(v); a red
+        # xy closes at u, a blue one at v
+        cg = random_colored(9, 0.7, 0.5, seed)
+        for u, v in combinations(range(9), 2):
+            for a, b in ((u, v), (v, u)):
+                common = [
+                    x for x in range(9)
+                    if x not in (a, b)
+                    and cg.graph.has_edge(a, x) and cg.graph.has_edge(b, x)
+                    and cg.color_of(a, x) == RED and cg.color_of(b, x) == BLUE
+                ]
+                pairs = [p for p in combinations(common, 2) if cg.graph.has_edge(*p)]
+                expected = None
+                if pairs:
+                    x, y = pairs[0]
+                    color = cg.color_of(x, y)
+                    expected = Triangle((a if color == RED else b, x, y), color)
+                assert mono_triangle_witness(cg, a, b) == expected

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from monotile.generators import triangle_free_process
 from monotile.graphs import Graph
 from monotile.independence import (
     is_triangle_free,
@@ -76,3 +77,46 @@ class TestExactIndependence:
         g = random_graph(12, 0.5, seed=3)
         res = max_independent_set_exact(g)
         assert res.nodes_expanded >= 1
+
+
+def pinned_graph(spec):
+    kind, *args = spec
+    if kind == "process":
+        return triangle_free_process(*args)
+    return random_graph(*args)
+
+
+# (graph, budget) -> (alpha, witness, exact, nodes_expanded).  The node
+# counts and the budgeted witnesses depend on the branching order: the
+# highest-degree candidate (ties to the lowest id), taken before it is
+# excluded, with the ascending-id greedy set as the first incumbent.
+ALPHA_PINS = [
+    (("process", 20, 0), None, 8, "1 2 7 9 11 14 16 18", True, 43),
+    (("process", 20, 0), 0, 7, "0 3 5 10 12 17 19", False, 1),
+    (("process", 20, 0), 1, 7, "0 3 5 10 12 17 19", False, 2),
+    (("process", 20, 0), 40, 8, "1 2 7 9 11 14 16 18", False, 41),
+    (("process", 30, 1), None, 10, "2 4 6 8 11 16 17 19 21 23", True, 95),
+    (("process", 30, 1), 40, 9, "4 9 11 13 20 23 24 25 28", False, 41),
+    (("process", 40, 2), None, 13, "4 6 12 14 15 16 25 26 29 31 34 35 39", True, 255),
+    (("process", 40, 2), 5, 9, "0 1 2 3 5 8 21 33 37", False, 6),
+    (("process", 40, 2), 40, 10, "1 3 7 9 10 11 18 21 22 24", False, 41),
+    (("random", 16, 0.4, 0), None, 6, "2 4 8 12 13 15", True, 33),
+    (("random", 16, 0.4, 0), 1, 5, "0 1 3 9 11", False, 2),
+    (("random", 16, 0.4, 0), 40, 6, "2 4 8 12 13 15", True, 33),
+    (("random", 24, 0.3, 5), None, 8, "0 4 5 6 8 10 16 20", True, 63),
+    (("random", 24, 0.3, 5), 5, 6, "0 1 3 9 10 21", False, 6),
+    (("random", 24, 0.3, 5), 40, 7, "0 1 6 9 10 16 21", False, 41),
+    (("random", 30, 0.5, 7), None, 6, "5 6 7 13 14 25", True, 67),
+    (("random", 30, 0.5, 7), 0, 3, "0 3 17", False, 1),
+    (("random", 30, 0.5, 7), 40, 5, "2 3 10 12 17", False, 41),
+]
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("spec, budget, alpha, witness, exact, nodes", ALPHA_PINS)
+    def test_pinned_search(self, spec, budget, alpha, witness, exact, nodes):
+        res = max_independent_set_exact(pinned_graph(spec), budget)
+        got = " ".join(map(str, sorted(res.witness)))
+        assert (res.alpha, got, res.exact, res.nodes_expanded) == (
+            alpha, witness, exact, nodes,
+        )

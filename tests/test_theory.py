@@ -285,6 +285,78 @@ class TestF2Tiling:
         assert not res.perfect
 
 
+def pinned_f2_graph(spec):
+    kind, *args = spec
+    if kind == "reduction":
+        return dense_reduction(*args).aux
+    return random_graph(*args)
+
+
+def copy_words(copies):
+    return " ".join(
+        "%d:%d-%d/%d-%d" % (c.center, *c.wings[0], *c.wings[1]) for c in copies
+    )
+
+
+# (graph, require_perfect, budget) -> (copies as "center:a-b/c-d" words,
+# perfect, exact, nodes_expanded).  The node counts and the budgeted packings
+# depend on the branching order: the free vertex with fewest free neighbours
+# (ties to the lowest id), its bowties in generation order (as centre, then
+# in a wing), then discarding it in maximum mode.
+F2_PINS = [
+    (("random", 10, 0.55, 1), False, None, "4:0-1/3-8 2:5-6/7-9", True, True, 46),
+    (("random", 10, 0.55, 1), False, 0, "", False, False, 1),
+    (("random", 10, 0.55, 1), False, 3, "4:0-1/3-8 2:5-6/7-9", True, False, 4),
+    (("random", 10, 0.55, 1), True, None, "4:0-1/3-8 2:5-6/7-9", True, True, 3),
+    (("random", 10, 0.55, 1), True, 0, "", False, False, 1),
+    (("random", 12, 0.6, 3), False, None, "2:0-7/1-6 4:5-8/10-11", False, True, 23),
+    (("random", 12, 0.6, 3), False, 3, "2:0-7/1-6", False, False, 4),
+    (("random", 12, 0.6, 3), True, None, "", False, True, 0),
+    (("random", 14, 0.5, 4), False, None, "1:0-2/3-9 7:4-11/5-8", False, True, 89),
+    (("random", 14, 0.5, 4), False, 50, "1:0-2/3-9 7:4-11/5-8", False, False, 51),
+    (("random", 15, 0.7, 2), False, None,
+     "3:0-7/2-10 4:5-9/12-13 14:1-8/6-11", True, True, 344),
+    (("random", 15, 0.7, 2), False, 3, "3:0-7/2-10 4:5-9/12-13", False, False, 4),
+    (("random", 15, 0.7, 2), False, 50,
+     "3:0-7/2-10 4:5-9/12-13 14:1-8/6-11", True, False, 51),
+    (("random", 15, 0.7, 2), True, None,
+     "3:0-7/2-10 4:5-9/12-13 14:1-8/6-11", True, True, 4),
+    (("random", 15, 0.7, 2), True, 3, "", False, False, 4),
+    (("reduction", 20, 0), True, None,
+     "20:0-2/1-3 21:4-5/6-7 9:8-22/10-23 12:11-24/13-25 15:14-26/17-27 "
+     "19:16-28/18-29", True, True, 1040),
+    (("reduction", 20, 1), False, 300,
+     "20:0-1/2-3 21:4-7/5-6 22:8-9/10-12 23:11-13/14-16 24:15-18/17-19",
+     False, False, 301),
+    (("reduction", 25, 0), True, 10_000, "", False, False, 10_001),
+    (("reduction", 25, 1), False, 10_000,
+     "25:0-1/2-3 26:4-6/5-7 27:8-9/10-11 28:12-14/13-15 18:16-29/17-30 "
+     "20:19-31/22-32 23:21-33/24-34", False, False, 10_001),
+]
+
+
+class TestF2SearchOrder:
+    @pytest.mark.parametrize(
+        "spec, require_perfect, budget, copies, perfect, exact, nodes", F2_PINS
+    )
+    def test_pinned_search(
+        self, spec, require_perfect, budget, copies, perfect, exact, nodes
+    ):
+        res = f2_tiling_exact(pinned_f2_graph(spec), require_perfect, budget)
+        assert (copy_words(res.copies), res.perfect, res.exact, res.nodes_expanded) == (
+            copies, perfect, exact, nodes,
+        )
+
+    def test_deep_search_needs_no_recursion(self):
+        # 600 disjoint edges: no bowtie, and every vertex is discarded one
+        # level deeper than the last
+        g = Graph(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+        res = f2_tiling_exact(g)
+        assert (res.copies, res.perfect, res.exact, res.nodes_expanded) == (
+            (), False, True, 1197,
+        )
+
+
 class TestF2Copy:
     def test_wings_sorted_and_distinct(self):
         c = F2Copy(3, ((9, 1), (7, 5)))
