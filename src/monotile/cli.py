@@ -124,7 +124,7 @@ class ExperimentConfig:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for node budgets: an integer >= 0."""
+    """argparse type for node budgets and kick counts: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -171,7 +171,7 @@ def build_parser() -> _Parser:
     )
     style.add_argument("--heuristic", dest="method", action="store_const", const="heuristic")
     sol.add_argument("--budget", type=_non_negative_int)
-    sol.add_argument("--iters", type=int, default=32)
+    sol.add_argument("--iters", type=_non_negative_int, default=32)
     sol.add_argument("--seed", type=int, default=0)
     sol.add_argument("--gamma", type=Fraction, default=Fraction(0))
     sol.add_argument("--out")

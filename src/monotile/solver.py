@@ -15,6 +15,10 @@ removes hits[v], and only the cover vertices in the near masks of the removed
 vertices are rechecked, so a node costs the work that changed rather than the
 number of triangles.  Open nodes wait on an explicit stack, so the depth of
 the search is not limited by the interpreter's recursion limit.
+
+The heuristic reads the same index and greedy completion; its (1,2)-swap is
+the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
+as a search over live ids.
 """
 
 from __future__ import annotations
@@ -88,9 +92,10 @@ def _as_tiling(triangles: Sequence[Triangle], mode: str) -> Tiling:
     return Tiling(tuple(sorted(triangles, key=lambda t: t.vertices)), mode)
 
 
-def _pack_exact(
-    triangles: list[Triangle], budget: Optional[int]
-) -> tuple[list[Triangle], int, bool, int]:
+def _index(
+    triangles: Sequence[Triangle],
+) -> tuple[list[tuple[int, int, int]], list[int], list[int], int]:
+    """Vertex triples by triangle id, hits and near per vertex, and the root cover."""
     verts = [t.vertices for t in triangles]
     n = 1 + max((c for _, _, c in verts), default=-1)
     hits = [0] * n  # vertex -> bitset of the ids of its triangles
@@ -102,6 +107,24 @@ def _pack_exact(
         for v in (a, b, c):
             hits[v] |= 1 << i
             near[v] |= mask
+    return verts, hits, near, root_cover
+
+
+def _greedy(verts: list[tuple[int, int, int]], hits: list[int], live: int) -> list[int]:
+    """Take live ids lowest first, each dropping the ids that share a vertex with it."""
+    chosen = []
+    while live:
+        i = (live & -live).bit_length() - 1
+        chosen.append(i)
+        a, b, c = verts[i]
+        live &= ~(hits[a] | hits[b] | hits[c])
+    return chosen
+
+
+def _pack_exact(
+    triangles: list[Triangle], budget: Optional[int]
+) -> tuple[list[Triangle], int, bool, int]:
+    verts, hits, near, root_cover = _index(triangles)
 
     def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
         # Remove the triangle ids in gone from live and the vertices in
@@ -115,16 +138,6 @@ def _pack_exact(
             check ^= low
         return live, cover
 
-    def greedy_tail(live: int) -> list[int]:
-        extra = []
-        while live:
-            i = (live & -live).bit_length() - 1
-            extra.append(i)
-            a, b, c = verts[i]
-            live &= ~(hits[a] | hits[b] | hits[c])
-        return extra
-
-    best_count = -1
     best_choice: list[int] = []
     nodes = 0
     exhausted = False
@@ -141,11 +154,10 @@ def _pack_exact(
         bound = cover.bit_count() // 3
         if nodes == 1:
             root_bound = bound
-        extra = greedy_tail(live)
-        if len(chosen) + len(extra) > best_count:
-            best_count = len(chosen) + len(extra)
+        extra = _greedy(verts, hits, live)
+        if len(chosen) + len(extra) > len(best_choice):
             best_choice = chosen + extra
-        if len(chosen) + bound <= best_count:
+        if len(chosen) + bound <= len(best_choice):
             continue
         v = (cover & -cover).bit_length() - 1
         stack.append((*drop(live, cover ^ 1 << v, hits[v], near[v]), chosen))
@@ -163,8 +175,12 @@ def heuristic_tiling(
 ) -> Tiling:
     """Greedy tiling plus (1,1)/(1,2)-swap local search, seeded random kicks.
 
-    Never returns fewer triangles than canonical greedy; deterministic given
-    the seed.  Strong mode runs per color and keeps the better, red on ties.
+    Improving inserts free triangles greedily, lowest id first, then swaps a
+    selected triangle for the first disjoint pair of its live ids (free of the
+    rest of the selection), until neither move applies; a kick swaps a random
+    selected triangle for a random live id.  Never returns fewer triangles
+    than canonical greedy; deterministic given the seed.  Strong mode runs per
+    color and keeps the better, red on ties.
     Weak mode also considers the single-color solutions (every strong tiling
     is a weak tiling), so its size never trails strong mode's.
     """
@@ -189,40 +205,39 @@ def heuristic_tiling(
 def _local_search(
     triangles: list[Triangle], iters: int, seed: int
 ) -> list[Triangle]:
-    masks = [t.mask for t in triangles]
+    verts, hits, _, _ = _index(triangles)
+    every = (1 << len(verts)) - 1
     rng = random.Random(seed)
 
-    def used_of(sel: list[int]) -> int:
-        u = 0
+    def free(sel: list[int]) -> int:
+        # The ids of the triangles vertex-disjoint from every triangle in sel.
+        blocked = 0
         for i in sel:
-            u |= masks[i]
-        return u
+            a, b, c = verts[i]
+            blocked |= hits[a] | hits[b] | hits[c]
+        return every & ~blocked
+
+    def pool(sel: list[int], pos: int) -> int:
+        # The ids that can take the place of sel[pos], other than sel[pos].
+        return free(sel[:pos] + sel[pos + 1 :]) & ~(1 << sel[pos])
+
+    def swap(sel: list[int]) -> bool:
+        # (1,2)-swap in place: the first position whose pool holds two
+        # disjoint ids gives way to the lexicographically first such pair.
+        for pos in range(len(sel)):
+            live = pool(sel, pos)
+            for i in iter_bits(live):
+                a, b, c = verts[i]
+                pair = (live >> i << i) & ~(hits[a] | hits[b] | hits[c])
+                if pair:
+                    sel[pos:] = sel[pos + 1 :] + [i, (pair & -pair).bit_length() - 1]
+                    return True
+        return False
 
     def improve(sel: list[int]) -> list[int]:
         while True:
-            used = used_of(sel)
-            inserted = False
-            for i, m in enumerate(masks):
-                if m & used == 0:
-                    sel.append(i)
-                    used |= m
-                    inserted = True
-            if inserted:
-                continue
-            swapped = False
-            for pos in range(len(sel)):
-                base = used & ~masks[sel[pos]]
-                compat = [
-                    i
-                    for i, m in enumerate(masks)
-                    if i != sel[pos] and m & base == 0
-                ]
-                pair = _disjoint_pair(masks, compat)
-                if pair is not None:
-                    sel = sel[:pos] + sel[pos + 1 :] + list(pair)
-                    swapped = True
-                    break
-            if not swapped:
+            sel += _greedy(verts, hits, free(sel))
+            if not swap(sel):
                 return sel
 
     current = improve([])
@@ -231,30 +246,14 @@ def _local_search(
         if not current:
             break
         pos = rng.randrange(len(current))
-        base = used_of(current) & ~masks[current[pos]]
-        compat = [
-            i
-            for i, m in enumerate(masks)
-            if i != current[pos] and m & base == 0
-        ]
-        if not compat:
+        live = pool(current, pos)
+        if not live:
             continue
-        current[pos] = rng.choice(compat)
+        current[pos] = rng.choice(list(iter_bits(live)))
         current = improve(current)
         if len(current) > len(best):
             best = list(current)
     return [triangles[i] for i in best]
-
-
-def _disjoint_pair(
-    masks: list[int], compat: list[int]
-) -> Optional[tuple[int, int]]:
-    for a in range(len(compat)):
-        ma = masks[compat[a]]
-        for b in range(a + 1, len(compat)):
-            if ma & masks[compat[b]] == 0:
-                return compat[a], compat[b]
-    return None
 
 
 def verify_tiling(cg: ColoredGraph, tiling: Tiling) -> bool:

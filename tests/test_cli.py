@@ -532,6 +532,7 @@ HOSTILE_INPUTS = [
     pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "seeds": [[1]]}]}, "seeds", id="config-seed-list"),
     pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "p_red": "x"}]}, "p_red", id="config-p-red-string"),
     pytest.param(("solve", "--instance", "{inst}", "--budget", "-5"), None, "--budget", id="solve-budget-negative"),
+    pytest.param(("solve", "--instance", "{inst}", "--heuristic", "--iters", "-5"), None, "--iters", id="solve-iters-negative"),
     pytest.param(("theory", "reduce", "--graph", "{inst}", "--budget", "-5"), None, "--budget", id="reduce-budget-negative"),
     pytest.param(("solve", "--instance", "{inst}", "--threads", "2"), None, "--threads", id="solve-threads-removed"),
     pytest.param((*EXPERIMENT, "--threads", "2"), {"instances": [RANDOM_ENTRY]}, "--threads", id="experiment-threads-removed"),

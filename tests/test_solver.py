@@ -120,6 +120,9 @@ def pinned_instance(spec):
         return extremal_instance(n, delta, seed=seed).colored_graph
     if kind == "traps":
         return oracles.greedy_traps(*args)
+    if kind == "random":
+        n, p_red, seed = args
+        return random_coloring(complete_graph(n), p_red, seed=seed)
     m, density, seed = args
     return five_part_instance(m, density, 0.5, seed).colored_graph
 
@@ -169,6 +172,40 @@ SEARCH_ORDER_PINS = [
 ]
 
 
+# (instance, mode, iters, seed) -> (size, tiling as "a-b-c<color>" words).
+# The tilings depend on the insertion pass taking ids in ascending order, on
+# the (1,2)-swap taking the lexicographically first disjoint pair, and on the
+# order of the ids a kick draws from.  With iters=0 the greedy-trap row is
+# reached by (1,2)-swaps alone: canonical greedy gets 10.  The K_21 row is the
+# one that changes when a swap pairs i with the highest disjoint id above it.
+HEURISTIC_PINS = [
+    (("random", 21, 0.5, 3), "strong", 32, 3, 7,
+     "0-1-14r 2-5-7r 3-15-17r 4-6-18r 8-11-12r 9-10-19r 13-16-20r"),
+    (("random", 30, 0.5, 0), "weak", 32, 0, 10,
+     "0-1-28b 2-23-26b 3-4-6b 5-7-9r 8-10-12b 11-13-17b 14-15-25b 16-19-21b 18-20-29b 22-24-27b"),
+    (("random", 30, 0.5, 0), "strong", 32, 0, 10,
+     "0-3-25r 1-5-10r 2-11-15r 4-12-19r 6-8-9r 7-27-28r 13-18-21r 14-17-22r 16-20-26r 23-24-29r"),
+    (("random", 30, 0.5, 3), "weak", 32, 3, 10,
+     "0-1-28r 2-3-6b 4-5-13b 7-25-27r 8-9-11b 10-12-18r 14-15-20b 16-17-24b 19-21-23b 22-26-29r"),
+    (("random", 30, 0.5, 3), "strong", 32, 3, 10,
+     "0-1-7r 2-10-11r 3-4-8r 5-22-28r 6-9-25r 12-13-15r 14-19-26r 16-18-23r 17-21-29r 20-24-27r"),
+    (("random", 60, 0.5, 0), "weak", 32, 0, 20,
+     "0-1-58b 2-54-56b 3-4-7r 5-6-8r 9-10-18b 11-12-23b 13-14-16r 15-17-19b 20-21-22b 24-25-31b 26-27-39b 28-29-33r 30-32-34r 35-36-40b 37-38-45b 41-42-55b 43-44-52b 46-47-51r 48-49-50b 53-57-59r"),
+    (("random", 60, 0.5, 0), "strong", 32, 0, 20,
+     "0-3-4r 1-8-10r 2-7-11r 5-6-12r 9-13-14r 15-16-18r 17-21-24r 19-23-26r 20-25-27r 22-29-58r 28-57-59r 30-31-45r 32-34-37r 33-35-42r 36-39-49r 38-40-43r 41-44-46r 47-48-51r 50-52-54r 53-55-56r"),
+    (("random", 60, 0.5, 3), "weak", 32, 3, 20,
+     "0-1-7r 2-3-6b 4-5-9b 8-10-12b 11-13-14r 15-16-21b 17-18-23b 19-20-30r 22-24-35b 25-26-28r 27-29-31b 32-33-37r 34-36-39b 38-40-45r 41-42-46r 43-44-49b 47-48-56b 50-51-53r 52-55-59b 54-57-58b"),
+    (("random", 60, 0.5, 3), "strong", 32, 3, 20,
+     "0-1-56r 2-5-59r 3-4-8r 6-11-13r 7-55-58r 9-10-15r 12-44-52r 14-20-22r 16-18-19r 17-25-27r 21-23-29r 24-28-31r 26-34-37r 30-32-40r 33-35-39r 36-45-54r 38-46-53r 41-42-47r 43-48-50r 49-51-57r"),
+    (("five-part", 8, 0.5, 0), "weak", 32, 0, 7,
+     "0-26-34r 1-12-22b 3-8-23b 4-28-33r 5-14-21r 6-13-17b 7-25-32r"),
+    (("extremal", 60, 39, 1), "weak", 32, 0, 13,
+     "21-22-58b 23-25-43b 24-26-44b 27-29-45b 28-33-46b 30-34-47b 31-42-56b 32-39-49b 35-48-55b 36-40-50b 37-51-57b 38-52-54b 41-53-59b"),
+    (("traps", 10), "weak", 0, 0, 20,
+     "0-3-4r 1-2-5r 6-9-10r 7-8-11r 12-15-16r 13-14-17r 18-21-22r 19-20-23r 24-27-28r 25-26-29r 30-33-34r 31-32-35r 36-39-40r 37-38-41r 42-45-46r 43-44-47r 48-51-52r 49-50-53r 54-57-58r 55-56-59r"),
+]
+
+
 class TestSearchOrder:
     @pytest.mark.parametrize(
         "spec, mode, budget, size, exact, nodes, bound, tiling", SEARCH_ORDER_PINS
@@ -200,6 +237,12 @@ class TestHeuristic:
         weak = heuristic_tiling(cg, WEAK, iters=4, seed=0)
         strong = heuristic_tiling(cg, STRONG, iters=4, seed=0)
         assert strong.size <= weak.size
+
+    @pytest.mark.parametrize("spec, mode, iters, seed, size, tiling", HEURISTIC_PINS)
+    def test_pinned_choices(self, spec, mode, iters, seed, size, tiling):
+        t = heuristic_tiling(pinned_instance(spec), mode, iters=iters, seed=seed)
+        got = " ".join("%d-%d-%d%s" % (*x.vertices, x.color) for x in t.triangles)
+        assert (t.size, got) == (size, tiling)
 
     def test_deterministic(self):
         cg = random_colored(11, 0.8, 0.5, seed=3)
