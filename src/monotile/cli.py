@@ -28,7 +28,7 @@ from .generators import (
     sidecar_text,
 )
 from .graphio import dump_colored_graph, load_colored_graph, load_graph
-from .graphs import MODES, WEAK, Tiling, Triangle
+from .graphs import MODES, WEAK, ColoredGraph, Tiling, Triangle
 from .rationals import as_fraction, rational_json
 from .solver import (
     SolveResult,
@@ -99,6 +99,8 @@ class ExperimentConfig:
             for key in ("n", "delta") if kind == "extremal" else ("n",):
                 if type(entry.get(key)) is not int:
                     raise ValueError(f"{kind} entries need an integer `{key}`")
+            if entry["n"] < 1:
+                raise ValueError(f"{kind} entries need `n` >= 1, got {entry['n']}")
             if not isinstance(entry.get("p_red", 0.5), (int, float)):
                 raise ValueError(f"`p_red` must be a number, got {entry['p_red']!r}")
         modes = raw.get("modes", [WEAK])
@@ -111,9 +113,11 @@ class ExperimentConfig:
         if budget is not None and (type(budget) is not int or budget < 0):
             raise ValueError(f"`budget` must be an integer >= 0 or null, got {budget!r}")
         try:
-            gamma = as_fraction(raw.get("gamma", 0))
-        except TypeError:
+            gamma = _rational(raw.get("gamma", 0))
+        except (TypeError, argparse.ArgumentTypeError):
             raise ValueError(f"`gamma` must be a number, got {raw['gamma']!r}") from None
+        if gamma < 0:
+            raise ValueError(f"need gamma >= 0, got {raw['gamma']!r}")
         return cls(
             instances=instances,
             modes=list(modes),
@@ -132,6 +136,15 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
+
+
+def _rational(text) -> Fraction:
+    """argparse type for exact rationals such as 1/100; a zero denominator is
+    a usage error like any other bad literal, not a ZeroDivisionError."""
+    try:
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -173,7 +186,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--budget", type=_non_negative_int)
     sol.add_argument("--iters", type=_non_negative_int, default=32)
     sol.add_argument("--seed", type=int, default=0)
-    sol.add_argument("--gamma", type=Fraction, default=Fraction(0))
+    sol.add_argument("--gamma", type=_rational, default=Fraction(0))
     sol.add_argument("--out")
 
     ver = sub.add_parser("verify", help="check a solve report's tiling against an instance")
@@ -183,7 +196,7 @@ def build_parser() -> _Parser:
     bnd = sub.add_parser("bounds", help="print the bound table for (n, delta)")
     bnd.add_argument("--n", type=int, required=True)
     bnd.add_argument("--delta", type=int, required=True)
-    bnd.add_argument("--gamma", type=Fraction, default=Fraction(0))
+    bnd.add_argument("--gamma", type=_rational, default=Fraction(0))
 
     thr = sub.add_parser("theory", help="chromatic profiles and bowtie reductions")
     thr_sub = thr.add_subparsers(dest="theory_command", required=True)
@@ -192,11 +205,11 @@ def build_parser() -> _Parser:
     adm = thr_sub.add_parser("admissible-c", help="smallest admissible padding margin")
     adm.add_argument("--k", type=int, required=True)
     adm.add_argument("--delta", type=int, required=True)
-    adm.add_argument("--c-f2", type=Fraction, default=Fraction(0))
+    adm.add_argument("--c-f2", type=_rational, default=Fraction(0))
     red = thr_sub.add_parser("reduce", help="pad a base graph and tile it with bowties")
     red.add_argument("--graph", required=True)
-    red.add_argument("--C", type=Fraction, help="padding margin; default admissible_C")
-    red.add_argument("--c-f2", type=Fraction, default=Fraction(0))
+    red.add_argument("--C", type=_rational, help="padding margin; default admissible_C")
+    red.add_argument("--c-f2", type=_rational, default=Fraction(0))
     red.add_argument("--budget", type=_non_negative_int)
 
     exp = sub.add_parser("experiment", help="run a seeded sweep, appending CSV rows")
@@ -242,50 +255,71 @@ def _dispatch(args) -> int:
     raise UsageError(f"unknown command {args.command!r}")
 
 
-def _cmd_generate(args) -> int:
-    out = Path(args.out)
-    if args.kind is None:
-        args.kind = "extremal"
-    if args.kind == "extremal":
-        if args.n is None or args.delta is None:
+def _instance(
+    kind: str,
+    seed: int,
+    n: Optional[int],
+    delta: Optional[int] = None,
+    m: Optional[int] = None,
+    density: float = 1.0,
+    p_red: float = 0.5,
+    part_method: str = "circulant_catalog",
+) -> tuple[ColoredGraph, str]:
+    """Build one instance of kind; return it with its sidecar text."""
+    if kind == "extremal":
+        if n is None or delta is None:
             raise UsageError("generate --kind extremal needs --n and --delta")
-        inst = extremal_instance(args.n, args.delta, args.part_method, args.seed)
-        out.write_text(dump_colored_graph(inst.colored_graph))
-        Path(str(out) + ".meta").write_text(extremal_sidecar(inst))
-    elif args.kind == "random":
-        if args.n is None:
+        inst = extremal_instance(n, delta, part_method, seed)
+        return inst.colored_graph, extremal_sidecar(inst)
+    if kind == "random":
+        if n is None:
             raise UsageError("generate --kind random needs --n")
-        cg = random_coloring(complete_graph(args.n), args.p_red, args.seed)
-        out.write_text(dump_colored_graph(cg))
-        meta = sidecar_text(
-            [
-                ("kind", "random_complete"),
-                ("n", str(args.n)),
-                ("p_red", str(args.p_red)),
-                ("seed", str(args.seed)),
-            ]
-        )
-        Path(str(out) + ".meta").write_text(meta)
-    else:
-        if args.m is None:
-            raise UsageError("generate --kind five-part needs --m")
-        inst = five_part_instance(args.m, args.density, args.p_red, args.seed)
-        out.write_text(dump_colored_graph(inst.colored_graph))
-        Path(str(out) + ".meta").write_text(five_part_sidecar(inst))
+        cg = random_coloring(complete_graph(n), p_red, seed)
+        meta = {"kind": "random_complete", "n": n, "p_red": p_red, "seed": seed}
+        return cg, sidecar_text([(key, str(value)) for key, value in meta.items()])
+    if m is None:
+        raise UsageError("generate --kind five-part needs --m")
+    inst = five_part_instance(m, density, p_red, seed)
+    return inst.colored_graph, five_part_sidecar(inst)
+
+
+def _cmd_generate(args) -> int:
+    cg, meta = _instance(
+        args.kind or "extremal", args.seed, args.n, args.delta, args.m,
+        args.density, args.p_red, args.part_method,
+    )
+    out = Path(args.out)
+    out.write_text(dump_colored_graph(cg))
+    Path(str(out) + ".meta").write_text(meta)
     return 0
+
+
+def _solve(
+    cg: ColoredGraph,
+    mode: str,
+    gamma: Fraction,
+    budget: Optional[int] = None,
+    heuristic: Optional[tuple[int, int]] = None,
+) -> dict:
+    """Timed solve of cg, exact or heuristic (iters, seed), as solve_report's
+    dict plus the wall-clock runtime_ms of the search alone."""
+    start = time.perf_counter()
+    if heuristic is None:
+        result = max_mono_tiling_exact(cg, mode, budget=budget)
+    else:
+        iters, seed = heuristic
+        tiling = heuristic_tiling(cg, mode, iters=iters, seed=seed)
+        result = SolveResult(tiling, exact=False, nodes_expanded=0, upper_bound_used=0)
+    runtime_ms = int((time.perf_counter() - start) * 1000)
+    report = solve_report(cg, result, gamma=gamma)
+    report["runtime_ms"] = runtime_ms
+    return report
 
 
 def _cmd_solve(args) -> int:
     cg = load_colored_graph(Path(args.instance).read_text())
-    start = time.perf_counter()
-    if args.method == "heuristic":
-        tiling = heuristic_tiling(cg, args.mode, iters=args.iters, seed=args.seed)
-        result = SolveResult(tiling, exact=False, nodes_expanded=0, upper_bound_used=0)
-    else:
-        result = max_mono_tiling_exact(cg, args.mode, budget=args.budget)
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    report = solve_report(cg, result, gamma=args.gamma)
-    report["runtime_ms"] = runtime_ms
+    heuristic = (args.iters, args.seed) if args.method == "heuristic" else None
+    report = _solve(cg, args.mode, args.gamma, args.budget, heuristic)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -379,42 +413,16 @@ def _cmd_experiment(args) -> int:
             writer.writerow(CSV_COLUMNS)
         for entry in config.instances:
             for seed in entry["seeds"]:
-                cg = _materialize(entry, seed, config)
-                delta = cg.graph.min_degree() if cg.n else 0
-                bounds = bound_table(cg.n, delta, gamma=config.gamma)
+                cg, _ = _instance(
+                    entry.get("kind", "extremal"), seed, entry["n"], entry.get("delta"),
+                    p_red=entry.get("p_red", 0.5), part_method=config.part_method,
+                )
                 for mode in config.modes:
-                    start = time.perf_counter()
-                    result = max_mono_tiling_exact(cg, mode, budget=config.budget)
-                    runtime_ms = int((time.perf_counter() - start) * 1000)
-                    writer.writerow(
-                        [
-                            cg.n,
-                            delta,
-                            seed,
-                            mode,
-                            result.tiling.size,
-                            int(result.exact),
-                            _csv_rational(bounds.thm3_lower),
-                            _csv_rational(bounds.remarkA_upper),
-                            _csv_rational(bounds.bft_weak),
-                            runtime_ms,
-                        ]
-                    )
+                    report = _solve(cg, mode, config.gamma, config.budget)
+                    bounds = report["bounds"]  # csv writes a None bound as ""
+                    writer.writerow([
+                        report["n"], report["delta"], seed, mode, report["size"],
+                        int(report["exact"]), bounds["thm3"], bounds["remarkA"],
+                        bounds["bft"], report["runtime_ms"],
+                    ])
     return 0
-
-
-def _materialize(entry: dict, seed: int, config: ExperimentConfig):
-    kind = entry.get("kind", "extremal")
-    if kind == "extremal":
-        inst = extremal_instance(
-            entry["n"], entry["delta"], config.part_method, seed
-        )
-        return inst.colored_graph
-    return random_coloring(
-        complete_graph(entry["n"]), entry.get("p_red", 0.5), seed
-    )
-
-
-def _csv_rational(value) -> str:
-    out = rational_json(value)
-    return "" if out is None else str(out)

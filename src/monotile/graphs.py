@@ -101,11 +101,7 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self._edges is None:
-            out = []
-            for u in range(self.n):
-                for v in iter_bits(self._adj[u] >> (u + 1)):
-                    out.append((u, u + 1 + v))
-            self._edges = tuple(out)
+            self._edges = tuple(edges_inside(self._adj, (1 << self.n) - 1))
         return self._edges
 
     @property

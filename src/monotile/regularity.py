@@ -276,13 +276,11 @@ def dominating_greedy(g: Graph, A: Iterable[int], B: Iterable[int], d, eps) -> D
     vertex is taken instead with the step index flagged.  Stops once the
     uncovered set is down to eps*|B| or t_bound(d, eps) picks were made.
     """
+    t_target = t_bound(d, eps)  # checks d > 2*eps > 0 first
     d = as_fraction(d)
     eps = as_fraction(eps)
-    if eps <= 0 or d <= 2 * eps:
-        raise DegenerateParametersError(f"need d > 2*eps > 0, got d={d}, eps={eps}")
     ma, mb = _side_masks(g, A, B)
     gamma = d - 2 * eps
-    t_target = t_bound(d, eps)
     b_size = mb.bit_count()
 
     uncovered = mb

@@ -19,6 +19,12 @@ the search is not limited by the interpreter's recursion limit.
 The heuristic reads the same index and greedy completion; its (1,2)-swap is
 the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
 as a search over live ids.
+
+Weak and strong tilings differ only in the triangles searched.  A weak exact
+search takes every monochromatic triangle; a strong search takes the red
+triangles, then the blue ones; the weak heuristic searches all, then red,
+then blue, since every strong tiling is also a weak one.  The largest result
+wins and the first searched wins ties, so strong mode keeps red on ties.
 """
 
 from __future__ import annotations
@@ -60,36 +66,36 @@ def max_mono_tiling_exact(
 ) -> SolveResult:
     """Maximum weak or strong monochromatic triangle tiling.
 
-    Strong mode solves each color class separately and returns the better
-    result, red on ties.  The budget caps each search, so strong mode can
+    Strong mode searches each color class and keeps the better result (see
+    the module docstring).  The budget caps each search, so strong mode can
     expand at most 2·(budget+1) nodes in all.  exact=False means a budget ran
     out and the incumbent is only a lower bound.
     """
+    chosen, nodes, exact, bound = zip(
+        *(_pack_exact(triangles, budget) for triangles in _searches(cg, mode))
+    )
+    tiling = _checked_tiling(cg, max(chosen, key=len), mode)
+    return SolveResult(tiling, all(exact), sum(nodes), max(bound))
+
+
+def _searches(cg: ColoredGraph, mode: str, heuristic: bool = False) -> list[list[Triangle]]:
+    """The triangle lists a solve in mode searches, in tie-break order."""
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
     triangles = enumerate_mono_triangles(cg)
-    if mode == WEAK:
-        chosen, nodes, exact, bound = _pack_exact(triangles, budget)
-        result = SolveResult(_as_tiling(chosen, WEAK), exact, nodes, bound)
-    else:
-        red = [t for t in triangles if t.color == RED]
-        blue = [t for t in triangles if t.color == BLUE]
-        red_chosen, red_nodes, red_exact, red_bound = _pack_exact(red, budget)
-        blue_chosen, blue_nodes, blue_exact, blue_bound = _pack_exact(blue, budget)
-        chosen = blue_chosen if len(blue_chosen) > len(red_chosen) else red_chosen
-        result = SolveResult(
-            _as_tiling(chosen, STRONG),
-            red_exact and blue_exact,
-            red_nodes + blue_nodes,
-            max(red_bound, blue_bound),
-        )
-    if not verify_tiling(cg, result.tiling):
-        raise AssertionError("solver produced an invalid tiling")
-    return result
+    if mode == WEAK and not heuristic:
+        return [triangles]
+    red = [t for t in triangles if t.color == RED]
+    blue = [t for t in triangles if t.color == BLUE]
+    return [red, blue] if mode == STRONG else [triangles, red, blue]
 
 
-def _as_tiling(triangles: Sequence[Triangle], mode: str) -> Tiling:
-    return Tiling(tuple(sorted(triangles, key=lambda t: t.vertices)), mode)
+def _checked_tiling(cg: ColoredGraph, chosen: Sequence[Triangle], mode: str) -> Tiling:
+    """chosen as a tiling in vertex order, rechecked in full by verify_tiling."""
+    tiling = Tiling(tuple(sorted(chosen, key=lambda t: t.vertices)), mode)
+    if not verify_tiling(cg, tiling):
+        raise AssertionError(f"search produced an invalid {mode} tiling")
+    return tiling
 
 
 def _index(
@@ -179,27 +185,15 @@ def heuristic_tiling(
     selected triangle for the first disjoint pair of its live ids (free of the
     rest of the selection), until neither move applies; a kick swaps a random
     selected triangle for a random live id.  Never returns fewer triangles
-    than canonical greedy; deterministic given the seed.  Strong mode runs per
-    color and keeps the better, red on ties.
-    Weak mode also considers the single-color solutions (every strong tiling
-    is a weak tiling), so its size never trails strong mode's.
+    than canonical greedy; deterministic given the seed.  Weak mode also
+    searches each color class alone (see the module docstring), so its size
+    never trails strong mode's.
     """
-    if mode not in MODES:
-        raise ValueError(f"bad mode {mode!r}")
-    triangles = enumerate_mono_triangles(cg)
-    red = _local_search([t for t in triangles if t.color == RED], iters, seed)
-    blue = _local_search([t for t in triangles if t.color == BLUE], iters, seed)
-    single = blue if len(blue) > len(red) else red
-    if mode == WEAK:
-        chosen = _local_search(triangles, iters, seed)
-        if len(single) > len(chosen):
-            chosen = single
-    else:
-        chosen = single
-    tiling = _as_tiling(chosen, mode)
-    if not verify_tiling(cg, tiling):
-        raise AssertionError("heuristic produced an invalid tiling")
-    return tiling
+    searched = (
+        _local_search(triangles, iters, seed)
+        for triangles in _searches(cg, mode, heuristic=True)
+    )
+    return _checked_tiling(cg, max(searched, key=len), mode)
 
 
 def _local_search(
@@ -351,8 +345,6 @@ class BoundReport:
     thm3_lower: Fraction
     remarkA_upper: Optional[Fraction]
     bft_weak: Fraction
-    achieved_weak: Optional[int]
-    achieved_strong: Optional[int]
 
     def as_dict(self) -> dict:
         return {
@@ -362,18 +354,13 @@ class BoundReport:
             "thm3_lower": rational_json(self.thm3_lower),
             "remarkA_upper": rational_json(self.remarkA_upper),
             "bft_weak": rational_json(self.bft_weak),
-            "achieved_weak": self.achieved_weak,
-            "achieved_strong": self.achieved_strong,
+            # schema keys kept as null: no caller ever filled them
+            "achieved_weak": None,
+            "achieved_strong": None,
         }
 
 
-def bound_table(
-    n: int,
-    delta: int,
-    gamma=0,
-    achieved_weak: Optional[SolveResult] = None,
-    achieved_strong: Optional[SolveResult] = None,
-) -> BoundReport:
+def bound_table(n: int, delta: int, gamma=0) -> BoundReport:
     """Evaluate the piecewise tiling bounds for minimum degree delta.
 
     thm3_lower: 2*delta - n - gamma*n on n/2 <= delta <= 3n/5, then
@@ -381,11 +368,15 @@ def bound_table(
     the matching construction bound, None below n/2; at delta = n/2 exactly
     the three-part budget argument is unavailable, so delta/3 is reported.
     bft_weak: 0 below 4n/5, then 5*delta - 4n, floor((4*delta - 3n)/2),
-    floor((2*delta - n)/3) on the three upper ranges.
+    floor((2*delta - n)/3) on the three upper ranges.  gamma >= 0 is the
+    error term of Theorem 3; a negative one would lift thm3_lower past
+    remarkA_upper, so it is rejected.
     """
     if n < 1 or not 0 <= delta <= n - 1:
         raise ParameterOutOfRangeError(f"need n >= 1 and 0 <= delta <= n-1, got ({n}, {delta})")
     g = as_fraction(gamma)
+    if g < 0:
+        raise ParameterOutOfRangeError(f"need gamma >= 0, got {g}")
     gn = g * n
     zero = Fraction(0)
 
@@ -415,8 +406,6 @@ def bound_table(
         thm3_lower=thm3,
         remarkA_upper=remark,
         bft_weak=bft,
-        achieved_weak=achieved_weak.tiling.size if achieved_weak else None,
-        achieved_strong=achieved_strong.tiling.size if achieved_strong else None,
     )
 
 

@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .rationals import as_fraction
 from .regularity import DegenerateParametersError, t_bound
-from .solver import verify_tiling
+from .solver import _checked_tiling
 
 
 class TooLargeError(ValueError):
@@ -632,9 +632,7 @@ def five_part_tiler(inst: FivePartInstance, eps) -> FivePartTilingResult:
     if Fraction(v1_left * v1_left) >= eps * m * m:
         phase2 = run_phase(v1, inst.part_mask(3), inst.part_mask(4), beta2)
 
-    tiling = Tiling(tuple(sorted(triangles, key=lambda t: t.vertices)), WEAK)
-    if not verify_tiling(cg, tiling):
-        raise AssertionError("five-part tiler produced an invalid tiling")
+    tiling = _checked_tiling(cg, triangles, WEAK)
     short = m - tiling.size
     target = short <= 0 or Fraction(short * short) <= eps * m * m
     return FivePartTilingResult(

@@ -361,6 +361,69 @@ class TestSolveVerify:
         assert "error" in err
 
 
+# generate flags of each pinned instance
+PINNED_INSTANCES = {
+    "k7-seed5": ("--random", "--n", "7", "--seed", "5"),
+    "extremal-26-13-seed1": ("--extremal", "--n", "26", "--delta", "13", "--seed", "1"),
+    "five-part-6-seed5": ("--five-part", "--m", "6", "--density", "0.7", "--p-red", "0.4", "--seed", "5"),
+}
+
+# (instance, solve flags) -> the report with runtime_ms removed, as compact
+# JSON with sorted keys: the bytes `solve` writes, not properties of them.
+REPORT_PINS = [
+    ("k7-seed5", ("--exact", "--mode", "weak"),
+     '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":true,"mode":"weak","n":7,"nodes":1,"size":2,'
+     '"tiling":[[0,1,4,"b"],[2,3,5,"r"]]}'),
+    ("k7-seed5", ("--exact", "--mode", "strong"),
+     '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":true,"mode":"strong","n":7,"nodes":10,"size":2,'
+     '"tiling":[[0,3,4,"b"],[1,5,6,"b"]]}'),
+    ("k7-seed5", ("--heuristic", "--mode", "weak"),
+     '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":false,"mode":"weak","n":7,"nodes":0,"size":2,'
+     '"tiling":[[0,1,4,"b"],[2,3,5,"r"]]}'),
+    ("k7-seed5", ("--heuristic", "--mode", "strong"),
+     '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":false,"mode":"strong","n":7,"nodes":0,"size":2,'
+     '"tiling":[[0,3,4,"b"],[1,5,6,"b"]]}'),
+    ("extremal-26-13-seed1", ("--exact", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"17/3"},"delta":17,"exact":true,"mode":"weak","n":26,"nodes":1,'
+     '"size":0,"tiling":[]}'),
+    ("extremal-26-13-seed1", ("--exact", "--mode", "strong"),
+     '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"17/3"},"delta":17,"exact":true,"mode":"strong","n":26,"nodes":2,'
+     '"size":0,"tiling":[]}'),
+    ("extremal-26-13-seed1", ("--heuristic", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"17/3"},"delta":17,"exact":false,"mode":"weak","n":26,"nodes":0,'
+     '"size":0,"tiling":[]}'),
+    ("extremal-26-13-seed1", ("--heuristic", "--mode", "strong"),
+     '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"17/3"},"delta":17,"exact":false,"mode":"strong","n":26,"nodes":0,'
+     '"size":0,"tiling":[]}'),
+    ("extremal-26-13-seed1", ("--exact", "--mode", "weak", "--gamma", "1/26"),
+     '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"14/3"},"delta":17,"exact":true,"mode":"weak","n":26,"nodes":1,'
+     '"size":0,"tiling":[]}'),
+    ("five-part-6-seed5", ("--exact", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"weak","n":30,"nodes":3495,"size":6,'
+     '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,7,14,"r"],[3,19,26,"b"],[4,8,15,"b"],[5,10,16,"r"]]}'),
+    ("five-part-6-seed5", ("--exact", "--mode", "strong"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"strong","n":30,"nodes":976,"size":6,'
+     '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,8,13,"b"],[3,19,26,"b"],[4,7,15,"b"],[5,20,27,"b"]]}'),
+    ("five-part-6-seed5", ("--heuristic", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":false,"mode":"weak","n":30,"nodes":0,"size":6,'
+     '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,7,14,"r"],[3,19,26,"b"],[4,8,15,"b"],[5,10,16,"r"]]}'),
+    ("five-part-6-seed5", ("--heuristic", "--mode", "strong"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":false,"mode":"strong","n":30,"nodes":0,"size":6,'
+     '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,8,13,"b"],[3,19,26,"b"],[4,7,15,"b"],[5,20,27,"b"]]}'),
+]
+
+
+@pytest.mark.parametrize("name, flags, expected", REPORT_PINS)
+def test_pinned_solve_report(tmp_path, capsys, name, flags, expected):
+    inst = tmp_path / "inst.edges"
+    assert run(capsys, "generate", *PINNED_INSTANCES[name], "--out", str(inst))[0] == 0
+    code, out, err = run(capsys, "solve", "--instance", str(inst), *flags)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report.pop("runtime_ms") >= 0
+    assert json.dumps(report, sort_keys=True, separators=(",", ":")) == expected
+
+
 # ---------------------------------------------------------------------------
 # theory
 # ---------------------------------------------------------------------------
@@ -475,6 +538,45 @@ class TestExperiment:
             assert row["bft_weak"] == str(rational_json(bounds.bft_weak))
         assert {r["mode"] for r in by_col} == {"weak", "strong"}
 
+    def test_pinned_rows(self, tmp_path, capsys):
+        out = tmp_path / "runs.csv"
+        code, _, _ = run(
+            capsys, "experiment", "--config", str(self.config(tmp_path)),
+            "--out", str(out),
+        )
+        assert code == 0
+        with out.open() as fh:
+            rows = [row[:-1] for row in csv.reader(fh)]  # runtime_ms dropped
+        assert rows[1:] == [
+            ["26", "17", "0", "weak", "0", "1", "17/3", "17/3", "0"],
+            ["26", "17", "0", "strong", "0", "1", "17/3", "17/3", "0"],
+            ["26", "17", "1", "weak", "0", "1", "17/3", "17/3", "0"],
+            ["26", "17", "1", "strong", "0", "1", "17/3", "17/3", "0"],
+            ["7", "6", "5", "weak", "2", "1", "2", "2", "1"],
+            ["7", "6", "5", "strong", "2", "1", "2", "2", "1"],
+        ]
+
+    def test_pinned_rows_with_gamma(self, tmp_path, capsys):
+        # gamma pulls thm3_lower away from remarkA_upper, so a swapped bound
+        # column shows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "instances": [
+                {"kind": "extremal", "n": 26, "delta": 13, "seeds": [1]},
+                {"kind": "random", "n": 7, "seeds": [5]},
+            ],
+            "modes": ["strong"],
+            "gamma": "1/26",
+        }))
+        out = tmp_path / "runs.csv"
+        assert run(capsys, "experiment", "--config", str(config), "--out", str(out))[0] == 0
+        with out.open() as fh:
+            rows = [row[:-1] for row in csv.reader(fh)]
+        assert rows[1:] == [
+            ["26", "17", "1", "strong", "0", "1", "14/3", "17/3", "0"],
+            ["7", "6", "5", "strong", "2", "1", "45/26", "2", "1"],
+        ]
+
     def test_append_keeps_single_header(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
         config = self.config(tmp_path)
@@ -536,6 +638,16 @@ HOSTILE_INPUTS = [
     pytest.param(("theory", "reduce", "--graph", "{inst}", "--budget", "-5"), None, "--budget", id="reduce-budget-negative"),
     pytest.param(("solve", "--instance", "{inst}", "--threads", "2"), None, "--threads", id="solve-threads-removed"),
     pytest.param((*EXPERIMENT, "--threads", "2"), {"instances": [RANDOM_ENTRY]}, "--threads", id="experiment-threads-removed"),
+    pytest.param(("bounds", "--n", "10", "--delta", "6", "--gamma", "1/0"), None, "--gamma", id="bounds-gamma-zero-denominator"),
+    pytest.param(("solve", "--instance", "{inst}", "--gamma", "1/0"), None, "--gamma", id="solve-gamma-zero-denominator"),
+    pytest.param(("theory", "admissible-c", "--k", "10", "--delta", "6", "--c-f2", "1/0"), None, "--c-f2", id="admissible-c-c-f2-zero-denominator"),
+    pytest.param(("theory", "reduce", "--graph", "{inst}", "--c-f2", "1/0"), None, "--c-f2", id="reduce-c-f2-zero-denominator"),
+    pytest.param(("theory", "reduce", "--graph", "{inst}", "--C", "1/0"), None, "--C", id="reduce-C-zero-denominator"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "gamma": "1/0"}, "gamma", id="config-gamma-zero-denominator"),
+    pytest.param(("bounds", "--n", "10", "--delta", "6", "--gamma", "-1"), None, "gamma >= 0", id="bounds-gamma-negative"),
+    pytest.param(("solve", "--instance", "{inst}", "--gamma", "-1"), None, "gamma >= 0", id="solve-gamma-negative"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "gamma": -1}, "gamma >= 0", id="config-gamma-negative"),
+    pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "n": 0}]}, "`n` >= 1", id="config-n-zero"),
 ]
 
 
@@ -547,6 +659,16 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert fragment in err
+
+
+def test_rejected_config_writes_no_csv(tmp_path, capsys):
+    # a config is checked whole before the CSV is opened, so a rejected one
+    # leaves no header-only file behind
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instances": [{**RANDOM_ENTRY, "n": 0}]}))
+    out = tmp_path / "runs.csv"
+    assert run(capsys, "experiment", "--config", str(config), "--out", str(out))[0] == 1
+    assert not out.exists()
 
 
 def test_zero_budget_stays_valid(tmp_path, capsys):

@@ -392,6 +392,11 @@ class TestBoundTable:
         rep = bound_table(100, 51, gamma=Fraction(1, 10))
         assert rep.thm3_lower == 0
 
+    def test_negative_gamma_rejected(self):
+        # -gamma*n would lift thm3_lower past the matching remarkA_upper
+        with pytest.raises(ParameterOutOfRangeError):
+            bound_table(10, 6, gamma=-1)
+
     def test_window_decomposition_bft(self):
         # below 4n/5: zero; then the three pieces in order
         assert bound_table(100, 79).bft_weak == 0
