@@ -147,6 +147,15 @@ def _rational(text) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _gamma(text) -> Fraction:
+    """argparse type for the error term gamma of Theorem 3: a rational >= 0,
+    checked before any instance is read or searched."""
+    value = _rational(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need gamma >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="monotile", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -186,7 +195,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--budget", type=_non_negative_int)
     sol.add_argument("--iters", type=_non_negative_int, default=32)
     sol.add_argument("--seed", type=int, default=0)
-    sol.add_argument("--gamma", type=_rational, default=Fraction(0))
+    sol.add_argument("--gamma", type=_gamma, default=Fraction(0))
     sol.add_argument("--out")
 
     ver = sub.add_parser("verify", help="check a solve report's tiling against an instance")
@@ -196,7 +205,7 @@ def build_parser() -> _Parser:
     bnd = sub.add_parser("bounds", help="print the bound table for (n, delta)")
     bnd.add_argument("--n", type=int, required=True)
     bnd.add_argument("--delta", type=int, required=True)
-    bnd.add_argument("--gamma", type=_rational, default=Fraction(0))
+    bnd.add_argument("--gamma", type=_gamma, default=Fraction(0))
 
     thr = sub.add_parser("theory", help="chromatic profiles and bowtie reductions")
     thr_sub = thr.add_subparsers(dest="theory_command", required=True)

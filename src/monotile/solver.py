@@ -3,8 +3,15 @@
 The exact solver is a branch-and-bound over the monochromatic-triangle
 hypergraph.  At every node it branches on the lexicographically first vertex
 still covered by some live triangle (cover it with one of its triangles, or
-discard it), prunes with floor(coverable/3), and keeps a greedy completion as
-the incumbent.  Everything is deterministic; budgets count node expansions.
+discard it), keeps a greedy completion as the incumbent, and prunes with the
+smaller of two bounds on the triangles still to come.  The first is
+floor(|cover|/3).  The second comes from one greedy hitting set T of the
+triangles, taken once at the root (the vertex on the most triangles first):
+vertex-disjoint triangles need distinct vertices of any hitting set, so
+nu <= tau (Tuza 1981, Haxell 1999).  Below the root the bound is
+|T & cover|: a triangle live at a node was live at the root, so it holds a
+vertex of T, and that vertex still has a live triangle, so it is in the
+node's cover.  Everything is deterministic; budgets count node expansions.
 
 The search state is bit-parallel, as in BBMC (San Segundo et al., Comput.
 Oper. Res. 2011): live is a bitset over triangle ids, hits[v] holds the ids
@@ -29,6 +36,7 @@ wins and the first searched wins ties, so strong mode keeps red on ties.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +77,9 @@ def max_mono_tiling_exact(
     Strong mode searches each color class and keeps the better result (see
     the module docstring).  The budget caps each search, so strong mode can
     expand at most 2·(budget+1) nodes in all.  exact=False means a budget ran
-    out and the incumbent is only a lower bound.
+    out and the incumbent is only a lower bound.  upper_bound_used is the
+    bound at the root, min(floor(|cover|/3), |T|) (the larger of the two
+    colours' in strong mode).
     """
     chosen, nodes, exact, bound = zip(
         *(_pack_exact(triangles, budget) for triangles in _searches(cg, mode))
@@ -127,10 +137,34 @@ def _greedy(verts: list[tuple[int, int, int]], hits: list[int], live: int) -> li
     return chosen
 
 
+def _transversal(verts: list[tuple[int, int, int]], hits: list[int], live: int) -> int:
+    """Greedy hitting set of the live ids, as a vertex mask: the vertex on the
+    most live triangles first, the lowest vertex on ties."""
+    count = [(h & live).bit_count() for h in hits]
+    heap = [(-k, v) for v, k in enumerate(count) if k]
+    heapq.heapify(heap)
+    taken = 0
+    while live:
+        k, v = heapq.heappop(heap)
+        if -k != count[v]:
+            continue  # stale: v lost triangles after this entry was pushed
+        taken |= 1 << v
+        dying = hits[v] & live
+        live ^= dying
+        for i in iter_bits(dying):
+            for u in verts[i]:
+                count[u] -= 1
+                if u != v:
+                    heapq.heappush(heap, (-count[u], u))
+    return taken
+
+
 def _pack_exact(
     triangles: list[Triangle], budget: Optional[int]
 ) -> tuple[list[Triangle], int, bool, int]:
     verts, hits, near, root_cover = _index(triangles)
+    every = (1 << len(verts)) - 1
+    hitting = _transversal(verts, hits, every)
 
     def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
         # Remove the triangle ids in gone from live and the vertices in
@@ -150,14 +184,14 @@ def _pack_exact(
     root_bound = 0
     # Each entry is (live, cover, chosen); children are pushed in reverse so
     # they pop in branching order: triangles through v by id, then discard v.
-    stack = [((1 << len(verts)) - 1, root_cover, [])]
+    stack = [(every, root_cover, [])]
     while stack:
         live, cover, chosen = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
             exhausted = True
             break
-        bound = cover.bit_count() // 3
+        bound = min(cover.bit_count() // 3, (hitting & cover).bit_count())
         if nodes == 1:
             root_bound = bound
         extra = _greedy(verts, hits, live)
@@ -360,6 +394,13 @@ class BoundReport:
         }
 
 
+def _non_negative_gamma(gamma) -> Fraction:
+    g = as_fraction(gamma)
+    if g < 0:
+        raise ParameterOutOfRangeError(f"need gamma >= 0, got {g}")
+    return g
+
+
 def bound_table(n: int, delta: int, gamma=0) -> BoundReport:
     """Evaluate the piecewise tiling bounds for minimum degree delta.
 
@@ -374,9 +415,7 @@ def bound_table(n: int, delta: int, gamma=0) -> BoundReport:
     """
     if n < 1 or not 0 <= delta <= n - 1:
         raise ParameterOutOfRangeError(f"need n >= 1 and 0 <= delta <= n-1, got ({n}, {delta})")
-    g = as_fraction(gamma)
-    if g < 0:
-        raise ParameterOutOfRangeError(f"need gamma >= 0, got {g}")
+    g = _non_negative_gamma(gamma)
     gn = g * n
     zero = Fraction(0)
 
@@ -410,7 +449,11 @@ def bound_table(n: int, delta: int, gamma=0) -> BoundReport:
 
 
 def solve_report(cg: ColoredGraph, result: SolveResult, gamma=0) -> dict:
-    """JSON-ready report for one solved instance; runtime is injected by the CLI."""
+    """JSON-ready report for one solved instance; runtime is injected by the CLI.
+
+    A negative gamma is rejected on every instance, the empty one included.
+    """
+    _non_negative_gamma(gamma)
     n = cg.n
     delta = cg.graph.min_degree() if n else 0
     report = {

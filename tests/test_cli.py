@@ -399,10 +399,10 @@ REPORT_PINS = [
      '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"14/3"},"delta":17,"exact":true,"mode":"weak","n":26,"nodes":1,'
      '"size":0,"tiling":[]}'),
     ("five-part-6-seed5", ("--exact", "--mode", "weak"),
-     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"weak","n":30,"nodes":3495,"size":6,'
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"weak","n":30,"nodes":1129,"size":6,'
      '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,7,14,"r"],[3,19,26,"b"],[4,8,15,"b"],[5,10,16,"r"]]}'),
     ("five-part-6-seed5", ("--exact", "--mode", "strong"),
-     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"strong","n":30,"nodes":976,"size":6,'
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"strong","n":30,"nodes":719,"size":6,'
      '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,8,13,"b"],[3,19,26,"b"],[4,7,15,"b"],[5,20,27,"b"]]}'),
     ("five-part-6-seed5", ("--heuristic", "--mode", "weak"),
      '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":false,"mode":"weak","n":30,"nodes":0,"size":6,'
@@ -617,8 +617,9 @@ RANDOM_ENTRY = {"kind": "random", "n": 7, "seeds": [1]}
 VERIFY = ("verify", "--instance", "{inst}", "--report", "{data}")
 EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
 
-# argv (with {inst}, {data}, {out} filled in), JSON written to {data}, and a
-# fragment the error message must contain.  {inst} is an all-red triangle.
+# argv (with {inst}, {empty}, {data}, {out} filled in), JSON written to
+# {data}, and a fragment the error message must contain.  {inst} is an
+# all-red triangle and {empty} an instance with no vertices.
 HOSTILE_INPUTS = [
     pytest.param(VERIFY, {"tiling": [["a", "b", "c", "r"]]}, "invalid tiling", id="verify-string-vertices"),
     pytest.param(VERIFY, {"tiling": [[0, 1, 2.5, "r"]]}, "invalid tiling", id="verify-float-vertex"),
@@ -646,6 +647,7 @@ HOSTILE_INPUTS = [
     pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "gamma": "1/0"}, "gamma", id="config-gamma-zero-denominator"),
     pytest.param(("bounds", "--n", "10", "--delta", "6", "--gamma", "-1"), None, "gamma >= 0", id="bounds-gamma-negative"),
     pytest.param(("solve", "--instance", "{inst}", "--gamma", "-1"), None, "gamma >= 0", id="solve-gamma-negative"),
+    pytest.param(("solve", "--instance", "{empty}", "--gamma", "-1"), None, "gamma >= 0", id="solve-gamma-negative-empty-instance"),
     pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "gamma": -1}, "gamma >= 0", id="config-gamma-negative"),
     pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "n": 0}]}, "`n` >= 1", id="config-n-zero"),
 ]
@@ -653,8 +655,12 @@ HOSTILE_INPUTS = [
 
 @pytest.mark.parametrize("argv, data, fragment", HOSTILE_INPUTS)
 def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
-    paths = {"inst": tmp_path / "k3.edges", "data": tmp_path / "data.json", "out": tmp_path / "runs.csv"}
+    paths = {
+        "inst": tmp_path / "k3.edges", "empty": tmp_path / "empty.edges",
+        "data": tmp_path / "data.json", "out": tmp_path / "runs.csv",
+    }
     paths["inst"].write_text(K3_RED)
+    paths["empty"].write_text("0 0\n")
     paths["data"].write_text(json.dumps(data))
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
@@ -669,6 +675,18 @@ def test_rejected_config_writes_no_csv(tmp_path, capsys):
     out = tmp_path / "runs.csv"
     assert run(capsys, "experiment", "--config", str(config), "--out", str(out))[0] == 1
     assert not out.exists()
+
+
+def test_negative_gamma_rejected_before_the_search(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "max_mono_tiling_exact", no_search)
+    inst = tmp_path / "k3.edges"
+    inst.write_text(K3_RED)
+    code, _, err = run(capsys, "solve", "--instance", str(inst), "--gamma", "-1")
+    assert code == 1
+    assert "gamma >= 0" in err
 
 
 def test_zero_budget_stays_valid(tmp_path, capsys):

@@ -22,6 +22,8 @@ from monotile.graphs import (
     build_colored_graph,
 )
 from monotile.solver import (
+    _index,
+    _transversal,
     bound_table,
     heuristic_tiling,
     max_mono_tiling_exact,
@@ -102,10 +104,18 @@ class TestExactSolver:
             max_mono_tiling_exact(cg, "mixed")
 
     def test_budget_exhaustion_reported(self):
+        cg = oracles.greedy_traps(10)
+        res = max_mono_tiling_exact(cg, WEAK, budget=50)
+        assert not res.exact
+        assert verify_tiling(cg, res.tiling)
+
+    def test_extremal_proven_within_small_budget(self):
+        # the root transversal meets the certificate bound, so the search
+        # closes long before the budget runs out
         inst = extremal_instance(39, 22, seed=1)
         res = max_mono_tiling_exact(inst.colored_graph, WEAK, budget=50)
-        assert not res.exact
-        assert verify_tiling(inst.colored_graph, res.tiling)
+        assert res.exact
+        assert res.tiling.size == res.upper_bound_used == inst.best_bound()
 
     def test_node_budget_still_verifies(self):
         cg = random_colored(12, 0.8, 0.5, seed=0)
@@ -134,41 +144,48 @@ TRAPS_10_TILING = " ".join(
 # (instance, mode, budget) -> (size, exact, nodes_expanded, upper_bound_used,
 # tiling as "a-b-c<color>" words).  The node counts and the budgeted
 # incumbents depend on the branching order (triangles through the first
-# covered vertex by id, then discarding it) and on the greedy tail taking the
-# lowest-id live triangle first.
+# covered vertex by id, then discarding it), on the greedy tail taking the
+# lowest-id live triangle first, and on the root transversal (most live
+# triangles first, lowest vertex on ties).  On the greedy traps the
+# transversal bound equals floor(cover/3), so a budget still runs out there.
 SEARCH_ORDER_PINS = [
-    (("extremal", 40, 22, 1), "weak", 1000, 4, False, 1001, 7,
+    (("extremal", 40, 22, 1), "weak", 1000, 4, True, 1, 4,
      "18-19-36b 20-23-37b 21-25-38b 22-24-39b"),
-    (("extremal", 60, 33, 1), "weak", 1000, 6, False, 1001, 11,
+    (("extremal", 60, 33, 1), "weak", 1000, 6, True, 1, 6,
      "27-29-54b 28-30-55b 31-33-56b 32-35-57b 34-37-58b 36-40-59b"),
     (("traps", 10), "weak", None, 20, True, 256, 20,
      TRAPS_10_TILING),
     (("traps", 10), "strong", None, 20, True, 257, 20,
      TRAPS_10_TILING),
-    (("five-part", 8, 0.5, 0), "weak", None, 7, True, 2255, 11,
+    (("five-part", 8, 0.5, 0), "weak", None, 7, True, 15, 7,
      "0-13-16b 1-25-39b 2-12-17r 3-8-23b 4-28-33r 5-14-21r 7-31-34b"),
-    (("five-part", 8, 0.5, 0), "weak", 50, 6, False, 51, 11,
-     "0-13-16b 1-12-22b 3-8-23b 4-28-33r 5-14-21r 7-25-32r"),
-    (("five-part", 8, 0.5, 0), "strong", None, 7, True, 38, 8,
+    (("five-part", 8, 0.5, 0), "weak", 50, 7, True, 15, 7,
+     "0-13-16b 1-25-39b 2-12-17r 3-8-23b 4-28-33r 5-14-21r 7-31-34b"),
+    (("five-part", 8, 0.5, 0), "strong", None, 7, True, 27, 7,
      "0-27-34r 1-26-36r 2-12-17r 3-30-35r 4-28-33r 5-14-21r 7-25-32r"),
-    (("five-part", 8, 0.5, 0), "strong", 50, 7, True, 38, 8,
+    (("five-part", 8, 0.5, 0), "strong", 50, 7, True, 27, 7,
      "0-27-34r 1-26-36r 2-12-17r 3-30-35r 4-28-33r 5-14-21r 7-25-32r"),
-    (("five-part", 8, 0.5, 1), "weak", None, 7, True, 9706, 12,
+    (("five-part", 8, 0.5, 1), "weak", None, 7, True, 1, 7,
      "0-11-16b 1-8-21b 2-12-19r 3-14-18b 5-15-20b 6-29-34r 7-24-35r"),
-    (("five-part", 8, 0.5, 1), "weak", 50, 7, False, 51, 12,
+    (("five-part", 8, 0.5, 1), "weak", 50, 7, True, 1, 7,
      "0-11-16b 1-8-21b 2-12-19r 3-14-18b 5-15-20b 6-29-34r 7-24-35r"),
-    (("five-part", 8, 0.5, 1), "strong", None, 7, True, 615, 10,
+    (("five-part", 8, 0.5, 1), "strong", None, 7, True, 2, 7,
      "0-13-18r 1-27-39r 2-12-19r 3-9-16r 5-28-35r 6-29-34r 7-24-36r"),
-    (("five-part", 8, 0.5, 1), "strong", 50, 7, False, 52, 10,
+    (("five-part", 8, 0.5, 1), "strong", 50, 7, True, 2, 7,
      "0-13-18r 1-27-39r 2-12-19r 3-9-16r 5-28-35r 6-29-34r 7-24-36r"),
-    (("five-part", 8, 0.5, 2), "weak", None, 8, True, 55, 10,
+    (("five-part", 8, 0.5, 2), "weak", None, 8, True, 1, 8,
      "0-10-23b 1-12-16b 2-11-17r 3-26-34r 4-25-33b 5-13-18b 6-8-21r 7-27-32r"),
-    (("five-part", 8, 0.5, 2), "weak", 50, 8, False, 51, 10,
+    (("five-part", 8, 0.5, 2), "weak", 50, 8, True, 1, 8,
      "0-10-23b 1-12-16b 2-11-17r 3-26-34r 4-25-33b 5-13-18b 6-8-21r 7-27-32r"),
-    (("five-part", 8, 0.5, 2), "strong", None, 5, True, 16, 6,
+    (("five-part", 8, 0.5, 2), "strong", None, 5, True, 2, 5,
      "2-11-17r 3-26-34r 4-27-32r 6-8-21r 7-13-20r"),
-    (("five-part", 8, 0.5, 2), "strong", 50, 5, True, 16, 6,
+    (("five-part", 8, 0.5, 2), "strong", 50, 5, True, 2, 5,
      "2-11-17r 3-26-34r 4-27-32r 6-8-21r 7-13-20r"),
+    (("five-part", 9, 0.6, 7), "weak", None, 9, True, 54, 9,
+     "0-10-22r 1-12-25r 2-14-20r 3-13-21r 4-28-43b 5-30-41b 6-11-26b 7-16-19b 8-15-24b"),
+    (("traps", 10), "weak", 50, 14, False, 51, 20,
+     "0-1-2r 6-7-8r 12-13-14r 18-19-20r 24-25-26r 30-31-32r 36-39-40r 37-38-41r "
+     "42-45-46r 43-44-47r 48-51-52r 49-50-53r 54-57-58r 55-56-59r"),
 ]
 
 
@@ -220,6 +237,35 @@ class TestSearchOrder:
             size, exact, nodes, bound,
         )
         assert got == tiling
+
+
+class TestTransversal:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_hits_every_triangle_and_bounds_the_packing(self, seed):
+        triangles = oracles.mono_triangles(random_colored(11, 0.7, 0.5, seed))
+        for searched in (
+            triangles,
+            [t for t in triangles if t.color == RED],
+            [t for t in triangles if t.color == BLUE],
+        ):
+            verts, hits, _, cover = _index(searched)
+            hitting = _transversal(verts, hits, (1 << len(verts)) - 1)
+            assert all(t.mask & hitting for t in searched)
+            assert not hitting & ~cover
+            assert hitting.bit_count() >= oracles.max_packing_size(searched)
+
+    def test_no_triangles_no_vertices(self):
+        assert _transversal([], [], 0) == 0
+
+    @pytest.mark.parametrize("n, delta", [(40, 22), (60, 33), (90, 50)])
+    def test_extremal_classes_proven_at_budget_1000(self, n, delta):
+        # the extremal classes of the benchmark's extremal-budget workload:
+        # the root bound meets the certificate, so every search is proven
+        for seed in range(5):
+            inst = extremal_instance(n, delta, seed=seed)
+            res = max_mono_tiling_exact(inst.colored_graph, WEAK, budget=1000)
+            assert res.exact
+            assert res.tiling.size == inst.best_bound()
 
 
 class TestHeuristic:
@@ -454,3 +500,8 @@ class TestSolveReport:
         rep = solve_report(cg, max_mono_tiling_exact(cg))
         assert rep["n"] == 0
         assert rep["size"] == 0
+
+    def test_negative_gamma_rejected_on_empty_graph(self):
+        cg = build_colored_graph(0, [])
+        with pytest.raises(ParameterOutOfRangeError):
+            solve_report(cg, max_mono_tiling_exact(cg), gamma=-1)
