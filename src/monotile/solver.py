@@ -25,12 +25,17 @@ the search is not limited by the interpreter's recursion limit.
 
 The heuristic reads the same index and greedy completion; its (1,2)-swap is
 the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
-as a search over live ids.
+as a search over live ids.  It stops kicking once its tiling reaches
+floor(|cover|/3), since no larger one exists.
 
-Weak and strong tilings differ only in the triangles searched.  A weak exact
-search takes every monochromatic triangle; a strong search takes the red
-triangles, then the blue ones; the weak heuristic searches all, then red,
-then blue, since every strong tiling is also a weak one.  The largest result
+A solve enumerates the monochromatic triangles once and builds one index
+over them; each search is a mask of triangle ids over that index.  Weak and
+strong tilings differ only in the masks searched.  A weak exact search takes
+every id; a strong search takes the red ids, then the blue ones; the weak
+heuristic searches all, then red, then blue, since every strong tiling is
+also a weak one.  A colour mask keeps its ids in the order of the full list,
+and every choice depends only on that order, so a search over a mask makes
+the choices a search over the colour's own list would.  The largest result
 wins and the first searched wins ties, so strong mode keeps red on ties.
 """
 
@@ -40,11 +45,10 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
 from .graphs import (
-    BLUE,
     MIXED,
     MODES,
     RED,
@@ -81,23 +85,38 @@ def max_mono_tiling_exact(
     bound at the root, min(floor(|cover|/3), |T|) (the larger of the two
     colours' in strong mode).
     """
+    triangles, searches = _searches(cg, mode)
+    index = _index(triangles)
     chosen, nodes, exact, bound = zip(
-        *(_pack_exact(triangles, budget) for triangles in _searches(cg, mode))
+        *(_pack_exact(triangles, index, live, budget) for live in searches)
     )
     tiling = _checked_tiling(cg, max(chosen, key=len), mode)
     return SolveResult(tiling, all(exact), sum(nodes), max(bound))
 
 
-def _searches(cg: ColoredGraph, mode: str, heuristic: bool = False) -> list[list[Triangle]]:
-    """The triangle lists a solve in mode searches, in tie-break order."""
+def _searches(
+    cg: ColoredGraph, mode: str, heuristic: bool = False
+) -> tuple[list[Triangle], list[int]]:
+    """Every monochromatic triangle of cg, and the id masks over that list
+    that a solve in mode searches, in tie-break order."""
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
     triangles = enumerate_mono_triangles(cg)
+    every = (1 << len(triangles)) - 1
     if mode == WEAK and not heuristic:
-        return [triangles]
-    red = [t for t in triangles if t.color == RED]
-    blue = [t for t in triangles if t.color == BLUE]
-    return [red, blue] if mode == STRONG else [triangles, red, blue]
+        return triangles, [every]
+    red = _bits((i for i, t in enumerate(triangles) if t.color == RED), len(triangles))
+    blue = every ^ red
+    return triangles, [red, blue] if mode == STRONG else [every, red, blue]
+
+
+def _bits(ids: Iterable[int], size: int) -> int:
+    """The bitset of ids, all below size, built in time linear in size (OR-ing
+    1 << i into a growing int would cost time quadratic in size)."""
+    row = bytearray(b"0") * size
+    for i in ids:
+        row[~i] = 49  # ord("1"): bit i is the i-th digit from the right
+    return int(row, 2) if size else 0
 
 
 def _checked_tiling(cg: ColoredGraph, chosen: Sequence[Triangle], mode: str) -> Tiling:
@@ -108,22 +127,30 @@ def _checked_tiling(cg: ColoredGraph, chosen: Sequence[Triangle], mode: str) -> 
     return tiling
 
 
-def _index(
-    triangles: Sequence[Triangle],
-) -> tuple[list[tuple[int, int, int]], list[int], list[int], int]:
-    """Vertex triples by triangle id, hits and near per vertex, and the root cover."""
+_Index = tuple[list[tuple[int, int, int]], list[int], list[int]]
+
+
+def _index(triangles: Sequence[Triangle]) -> _Index:
+    """Vertex triples by triangle id; per vertex, hits (the bitset of the ids
+    of its triangles) and near (the vertex mask of those triangles)."""
     verts = [t.vertices for t in triangles]
     n = 1 + max((c for _, _, c in verts), default=-1)
-    hits = [0] * n  # vertex -> bitset of the ids of its triangles
-    near = [0] * n  # vertex -> vertex mask of those triangles
-    root_cover = 0
+    ids: list[list[int]] = [[] for _ in range(n)]
+    near = [0] * n
     for i, (a, b, c) in enumerate(verts):
         mask = 1 << a | 1 << b | 1 << c
-        root_cover |= mask
-        for v in (a, b, c):
-            hits[v] |= 1 << i
-            near[v] |= mask
-    return verts, hits, near, root_cover
+        ids[a].append(i)
+        ids[b].append(i)
+        ids[c].append(i)
+        near[a] |= mask
+        near[b] |= mask
+        near[c] |= mask
+    return verts, [_bits(row, len(verts)) for row in ids], near
+
+
+def _cover(hits: list[int], live: int) -> int:
+    """The vertices on some triangle of live, as a vertex mask."""
+    return sum(1 << v for v, h in enumerate(hits) if h & live)
 
 
 def _greedy(verts: list[tuple[int, int, int]], hits: list[int], live: int) -> list[int]:
@@ -160,11 +187,10 @@ def _transversal(verts: list[tuple[int, int, int]], hits: list[int], live: int) 
 
 
 def _pack_exact(
-    triangles: list[Triangle], budget: Optional[int]
+    triangles: list[Triangle], index: _Index, searched: int, budget: Optional[int]
 ) -> tuple[list[Triangle], int, bool, int]:
-    verts, hits, near, root_cover = _index(triangles)
-    every = (1 << len(verts)) - 1
-    hitting = _transversal(verts, hits, every)
+    verts, hits, near = index
+    hitting = _transversal(verts, hits, searched)
 
     def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
         # Remove the triangle ids in gone from live and the vertices in
@@ -184,7 +210,7 @@ def _pack_exact(
     root_bound = 0
     # Each entry is (live, cover, chosen); children are pushed in reverse so
     # they pop in branching order: triangles through v by id, then discard v.
-    stack = [(every, root_cover, [])]
+    stack = [(searched, _cover(hits, searched), [])]
     while stack:
         live, cover, chosen = stack.pop()
         nodes += 1
@@ -218,23 +244,22 @@ def heuristic_tiling(
     Improving inserts free triangles greedily, lowest id first, then swaps a
     selected triangle for the first disjoint pair of its live ids (free of the
     rest of the selection), until neither move applies; a kick swaps a random
-    selected triangle for a random live id.  Never returns fewer triangles
-    than canonical greedy; deterministic given the seed.  Weak mode also
+    selected triangle for a random live id, until the kicks run out or the
+    tiling reaches floor(|cover|/3).  Never returns fewer triangles than
+    canonical greedy; deterministic given the seed.  Weak mode also
     searches each color class alone (see the module docstring), so its size
     never trails strong mode's.
     """
-    searched = (
-        _local_search(triangles, iters, seed)
-        for triangles in _searches(cg, mode, heuristic=True)
-    )
-    return _checked_tiling(cg, max(searched, key=len), mode)
+    triangles, searches = _searches(cg, mode, heuristic=True)
+    index = _index(triangles)
+    found = (_local_search(triangles, index, live, iters, seed) for live in searches)
+    return _checked_tiling(cg, max(found, key=len), mode)
 
 
 def _local_search(
-    triangles: list[Triangle], iters: int, seed: int
+    triangles: list[Triangle], index: _Index, searched: int, iters: int, seed: int
 ) -> list[Triangle]:
-    verts, hits, _, _ = _index(triangles)
-    every = (1 << len(verts)) - 1
+    verts, hits, _ = index
     rng = random.Random(seed)
 
     def free(sel: list[int]) -> int:
@@ -243,7 +268,7 @@ def _local_search(
         for i in sel:
             a, b, c = verts[i]
             blocked |= hits[a] | hits[b] | hits[c]
-        return every & ~blocked
+        return searched & ~blocked
 
     def pool(sel: list[int], pos: int) -> int:
         # The ids that can take the place of sel[pos], other than sel[pos].
@@ -268,10 +293,11 @@ def _local_search(
             if not swap(sel):
                 return sel
 
+    most = _cover(hits, searched).bit_count() // 3  # no tiling of searched is larger
     current = improve([])
     best = list(current)
     for _ in range(iters):
-        if not current:
+        if len(best) == most:
             break
         pos = rng.randrange(len(current))
         live = pool(current, pos)

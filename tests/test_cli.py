@@ -713,6 +713,67 @@ def test_deep_instance_solves_without_traceback(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+class TestParserReuse:
+    """run_cli parses every call with one parser kept for the process, so no
+    call may see a value left over from an earlier one."""
+
+    def test_budget_does_not_carry_over(self, tmp_path, capsys):
+        inst = tmp_path / "traps.edges"
+        inst.write_text(dump_colored_graph(oracles.greedy_traps(10)))
+        code, out, _ = run(capsys, "solve", "--instance", str(inst), "--budget", "5")
+        report = json.loads(out)
+        assert (code, report["exact"], report["nodes"]) == (0, False, 6)
+        code, out, _ = run(capsys, "solve", "--instance", str(inst))
+        report = json.loads(out)
+        assert (code, report["exact"], report["nodes"], report["size"]) == (0, True, 256, 20)
+
+    def test_generate_kind_does_not_carry_over(self, tmp_path, capsys):
+        calls = [
+            (("--random", "--n", "9", "--p-red", "1"), ("random_complete", "1.0")),
+            (("--extremal", "--n", "26", "--delta", "13"), ("extremal", None)),
+            (("--n", "26", "--delta", "13"), ("extremal", None)),
+            (("--random", "--n", "9"), ("random_complete", "0.5")),
+        ]
+        for i, (flags, (kind, p_red)) in enumerate(calls):
+            out = tmp_path / f"{i}.edges"
+            assert run(capsys, "generate", *flags, "--seed", "0", "--out", str(out))[0] == 0
+            meta = parse_sidecar((tmp_path / f"{i}.edges.meta").read_text())
+            assert (meta["kind"], meta.get("p_red")) == (kind, p_red)
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run(capsys, "solve", "--budget", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("monotile solve: ") and "usage: monotile solve" in err
+        code, out, err = run(capsys, "bounds", "--n", "100", "--delta", "90")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == bound_table(100, 90).as_dict()
+
+    def test_run_cli_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for argv in (("bounds", "--n", "10", "--delta", "6"), ("frobnicate",)) * 2:
+                run(capsys, *argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_import_builds_no_parser(self):
+        script = [sys.executable, "-c",
+                  "import monotile.cli as c; print(c._parser.cache_info().currsize)"]
+        proc = run_script(script, env=checkout_env())
+        assert (proc.returncode, proc.stdout.strip()) == (0, "0"), proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # top-level behaviour
 # ---------------------------------------------------------------------------
 

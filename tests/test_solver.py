@@ -1,6 +1,7 @@
 """Tiling solvers: exact vs brute force, heuristics, peeling, bound tables."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,11 @@ from monotile.graphs import (
     Triangle,
     build_colored_graph,
 )
+from monotile import solver
 from monotile.solver import (
+    _cover,
     _index,
+    _searches,
     _transversal,
     bound_table,
     heuristic_tiling,
@@ -242,16 +246,15 @@ class TestSearchOrder:
 class TestTransversal:
     @pytest.mark.parametrize("seed", range(20))
     def test_hits_every_triangle_and_bounds_the_packing(self, seed):
-        triangles = oracles.mono_triangles(random_colored(11, 0.7, 0.5, seed))
-        for searched in (
-            triangles,
-            [t for t in triangles if t.color == RED],
-            [t for t in triangles if t.color == BLUE],
-        ):
-            verts, hits, _, cover = _index(searched)
-            hitting = _transversal(verts, hits, (1 << len(verts)) - 1)
+        # one index over every triangle, searched under the weak, red and
+        # blue masks, as the solver searches it
+        triangles, masks = _searches(random_colored(11, 0.7, 0.5, seed), WEAK, heuristic=True)
+        verts, hits, _ = _index(triangles)
+        for live in masks:
+            searched = [t for i, t in enumerate(triangles) if live >> i & 1]
+            hitting = _transversal(verts, hits, live)
             assert all(t.mask & hitting for t in searched)
-            assert not hitting & ~cover
+            assert not hitting & ~_cover(hits, live)
             assert hitting.bit_count() >= oracles.max_packing_size(searched)
 
     def test_no_triangles_no_vertices(self):
@@ -266,6 +269,49 @@ class TestTransversal:
             res = max_mono_tiling_exact(inst.colored_graph, WEAK, budget=1000)
             assert res.exact
             assert res.tiling.size == inst.best_bound()
+
+
+class TestIndex:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_a_per_triangle_build(self, seed):
+        cg = random_colored(4 + seed, 0.8, 0.5, seed)
+        triangles = oracles.mono_triangles(cg)
+        n = 1 + max((t.vertices[2] for t in triangles), default=-1)
+        hits, near, cover = [0] * n, [0] * n, 0
+        for i, t in enumerate(triangles):
+            cover |= t.mask
+            for v in t.vertices:
+                hits[v] |= 1 << i
+                near[v] |= t.mask
+        verts, got_hits, got_near = _index(triangles)
+        assert verts == [t.vertices for t in triangles]
+        assert (got_hits, got_near) == (hits, near)
+        assert _cover(got_hits, (1 << len(triangles)) - 1) == cover
+
+    def test_no_triangles(self):
+        assert _index([]) == ([], [], [])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_colour_masks_partition_every_triangle(self, seed):
+        cg = random_colored(10, 0.8, 0.5, seed)
+        triangles, (every,) = _searches(cg, WEAK)
+        assert every == (1 << len(triangles)) - 1
+        assert _searches(cg, STRONG)[1] == _searches(cg, WEAK, heuristic=True)[1][1:]
+        red, blue = _searches(cg, STRONG)[1]
+        assert red & blue == 0 and red | blue == every
+        assert [red >> i & 1 for i in range(len(triangles))] == [
+            t.color == RED for t in triangles
+        ]
+
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    def test_one_index_per_solve(self, mode, monkeypatch):
+        built = []
+        monkeypatch.setattr(solver, "_index", lambda ts: built.append(ts) or _index(ts))
+        cg = random_colored(12, 0.8, 0.5, seed=1)
+        max_mono_tiling_exact(cg, mode)
+        assert len(built) == 1
+        heuristic_tiling(cg, mode, iters=4)
+        assert len(built) == 2
 
 
 class TestHeuristic:
@@ -289,6 +335,28 @@ class TestHeuristic:
         t = heuristic_tiling(pinned_instance(spec), mode, iters=iters, seed=seed)
         got = " ".join("%d-%d-%d%s" % (*x.vertices, x.color) for x in t.triangles)
         assert (t.size, got) == (size, tiling)
+
+    @pytest.mark.parametrize(
+        "edges, kicks",
+        [
+            # K_9 in red: greedy takes 012, 345, 678 = floor(9/3), no kick left to try
+            ([(u, v) for u in range(9) for v in range(u + 1, 9)], 0),
+            # 012, 024, 045 and 234 pairwise meet: one triangle, below floor(6/3)
+            ([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (0, 4), (0, 5)], 5),
+        ],
+    )
+    def test_kicks_stop_at_the_cover_bound(self, edges, kicks, monkeypatch):
+        drawn = []
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                drawn.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(solver, "random", types.SimpleNamespace(Random=Counting))
+        cg = build_colored_graph(1 + max(v for _, v in edges), [(u, v, RED) for u, v in edges])
+        heuristic_tiling(cg, STRONG, iters=5)
+        assert len(drawn) == kicks
 
     def test_deterministic(self):
         cg = random_colored(11, 0.8, 0.5, seed=3)
