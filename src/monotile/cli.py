@@ -42,6 +42,7 @@ from .solver import (
 from .theory import (
     admissible_C,
     auxiliary_reduction,
+    bowtie_graph,
     chromatic_parameters,
     classify_f2_copies,
     f2_tiling_exact,
@@ -102,8 +103,9 @@ class ExperimentConfig:
                     raise ValueError(f"{kind} entries need an integer `{key}`")
             if entry["n"] < 1:
                 raise ValueError(f"{kind} entries need `n` >= 1, got {entry['n']}")
-            if not isinstance(entry.get("p_red", 0.5), (int, float)):
-                raise ValueError(f"`p_red` must be a number, got {entry['p_red']!r}")
+            p_red = entry.get("p_red", 0.5)
+            if isinstance(p_red, bool) or not isinstance(p_red, (int, float)):
+                raise ValueError(f"`p_red` must be a number, got {p_red!r}")
         modes = raw.get("modes", [WEAK])
         if not isinstance(modes, list):
             raise ValueError(f"`modes` must be a list, got {modes!r}")
@@ -370,12 +372,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_theory(args) -> int:
     if args.theory_command == "profile":
-        if args.graph:
-            g = load_graph(Path(args.graph).read_text())
-        else:
-            from .theory import bowtie_graph
-
-            g = bowtie_graph()
+        g = load_graph(Path(args.graph).read_text()) if args.graph else bowtie_graph()
         p = chromatic_parameters(g)
         out = {
             "chi": p.chi,
@@ -421,24 +418,25 @@ def _cmd_theory(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_file(args.config)
+    # build (so the generators check) every instance before the CSV is opened
+    runs = [
+        (seed, _instance(entry.get("kind", "extremal"), seed, entry["n"], entry.get("delta"),
+                         p_red=entry.get("p_red", 0.5), part_method=config.part_method)[0])
+        for entry in config.instances for seed in entry["seeds"]
+    ]
     out = Path(args.out)
     write_header = not out.exists() or out.stat().st_size == 0
     with out.open("a", newline="") as fh:
         writer = csv.writer(fh)
         if write_header:
             writer.writerow(CSV_COLUMNS)
-        for entry in config.instances:
-            for seed in entry["seeds"]:
-                cg, _ = _instance(
-                    entry.get("kind", "extremal"), seed, entry["n"], entry.get("delta"),
-                    p_red=entry.get("p_red", 0.5), part_method=config.part_method,
-                )
-                for mode in config.modes:
-                    report = _solve(cg, mode, config.gamma, config.budget)
-                    bounds = report["bounds"]  # csv writes a None bound as ""
-                    writer.writerow([
-                        report["n"], report["delta"], seed, mode, report["size"],
-                        int(report["exact"]), bounds["thm3"], bounds["remarkA"],
-                        bounds["bft"], report["runtime_ms"],
-                    ])
+        for seed, cg in runs:
+            for mode in config.modes:
+                report = _solve(cg, mode, config.gamma, config.budget)
+                bounds = report["bounds"]  # csv writes a None bound as ""
+                writer.writerow([
+                    report["n"], report["delta"], seed, mode, report["size"],
+                    int(report["exact"]), bounds["thm3"], bounds["remarkA"],
+                    bounds["bft"], report["runtime_ms"],
+                ])
     return 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .graphs import BLUE, RED, ColoredGraph, Graph, build_colored_graph, enumerate_mono_triangles, mask_of
 from .independence import IndependenceResult, is_triangle_free, max_independent_set_exact

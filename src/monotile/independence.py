@@ -12,7 +12,7 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import Graph, iter_bits
 
@@ -45,7 +45,7 @@ def max_independent_set_exact(g: Graph, budget: Optional[int] = None) -> Indepen
     adj = [g.neighbors_mask(v) for v in range(n)]
     full = (1 << n) - 1
 
-    best_mask = _greedy_independent(adj, full)
+    best_mask = greedy_independent(adj, range(n))
     best = best_mask.bit_count()
     nodes = 0
     exact = True
@@ -91,14 +91,13 @@ def _branch_vertex(adj: list[int], candidates: int) -> int:
     return best_v
 
 
-def _greedy_independent(adj: list[int], candidates: int) -> int:
-    # ascending-id greedy; seeds the incumbent
+def greedy_independent(adj: list[int], order: Iterable[int]) -> int:
+    """Take each vertex of order unless a taken vertex is adjacent to it; the
+    mask taken is a maximal independent set when order holds every vertex."""
     chosen = 0
-    while candidates:
-        low = candidates & -candidates
-        v = low.bit_length() - 1
-        chosen |= low
-        candidates &= ~adj[v] & ~low
+    for v in order:
+        if not adj[v] & chosen:
+            chosen |= 1 << v
     return chosen
 
 

@@ -10,7 +10,10 @@ The bowtie packer runs on an explicit stack, like the triangle packer and the
 independence search, but each frame is a lazy iterator over one node's
 children: a vertex of a dense auxiliary graph can lie in hundreds of
 thousands of bowties, far more than the nodes a budgeted search expands, so
-they are generated only as the search reaches them.
+they are generated only as the search reaches them.  A child is a vertex
+mask and a (center, wing, wing) tuple; `F2Copy` records are built only for the
+packing returned.  `_f2_children` stays a generator function: it binds each
+node's free and chosen masks when the node's iterator is made.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .graphs import (
     mask_of,
     scan_mono_triangles,
 )
+from .independence import greedy_independent
 from .rationals import as_fraction
 from .regularity import DegenerateParametersError, t_bound
 from .solver import _checked_tiling
@@ -290,8 +294,11 @@ class F2TilingResult:
     nodes_expanded: int
 
 
-def _copies_through(adj: list[int], v: int, avail: int) -> Iterable[F2Copy]:
-    # all bowties using v with every vertex in avail, each generated once
+_Bowtie = tuple[int, tuple[int, int], tuple[int, int]]  # (center, wing, wing)
+
+
+def _copies_through(adj: list[int], v: int, avail: int) -> Iterator[tuple[int, _Bowtie]]:
+    # (five-vertex mask, bowtie) for each bowtie using v inside avail, once each
     bit = 1 << v
     rest = avail & ~bit
     # v as center: two disjoint edges inside N(v)
@@ -300,14 +307,14 @@ def _copies_through(adj: list[int], v: int, avail: int) -> Iterable[F2Copy]:
         pair_mask = 1 << a | 1 << b
         for c, d in wing_edges[i + 1 :]:
             if pair_mask & (1 << c | 1 << d) == 0:
-                yield F2Copy(v, ((a, b), (c, d)))
+                yield bit | pair_mask | 1 << c | 1 << d, (v, (a, b), (c, d))
     # v in a wing: partner b, center c adjacent to both, other wing avoiding all
     for b in iter_bits(adj[v] & rest):
         pair_mask = bit | 1 << b
         for c in iter_bits(adj[v] & adj[b] & rest & ~pair_mask):
             others = adj[c] & rest & ~pair_mask & ~(1 << c)
             for d, e in edges_inside(adj, others):
-                yield F2Copy(c, ((v, b), (d, e)))
+                yield pair_mask | 1 << c | 1 << d | 1 << e, (c, (v, b), (d, e))
 
 
 def f2_tiling_exact(
@@ -327,15 +334,11 @@ def f2_tiling_exact(
         return F2TilingResult((), False, True, 0)
     adj = [g.neighbors_mask(v) for v in range(n)]
 
-    # A maximal independent set gives a packing bound: any bowtie copy has
-    # at most two vertices in an independent set, hence at least three
-    # outside it.
-    anchor = 0
-    for v in sorted(range(n), key=lambda u: (adj[u].bit_count(), u)):
-        if not adj[v] & anchor:
-            anchor |= 1 << v
+    # A maximal independent set gives a packing bound: a bowtie has at most
+    # two vertices in an independent set, hence at least three outside it.
+    anchor = greedy_independent(adj, sorted(range(n), key=lambda u: (adj[u].bit_count(), u)))
 
-    best: list[F2Copy] = []
+    best: list[_Bowtie] = []
     nodes = 0
     exact = True
     # Each entry iterates one open node's children (free, chosen) in
@@ -365,16 +368,17 @@ def f2_tiling_exact(
                 continue
         v = min(iter_bits(free), key=lambda u: (adj[u] & free).bit_count())
         stack.append(_f2_children(adj, v, free, chosen, not require_perfect))
-    return F2TilingResult(tuple(best), len(best) * 5 == n, exact, nodes)
+    copies = tuple(F2Copy(center, (w1, w2)) for center, w1, w2 in best)
+    return F2TilingResult(copies, len(best) * 5 == n, exact, nodes)
 
 
 def _f2_children(
-    adj: list[int], v: int, free: int, chosen: list[F2Copy], discard: bool
-) -> Iterator[tuple[int, list[F2Copy]]]:
+    adj: list[int], v: int, free: int, chosen: list[_Bowtie], discard: bool
+) -> Iterator[tuple[int, list[_Bowtie]]]:
     # cover v with each of its bowties in generation order, then (maximum
     # mode) discard v
-    for copy in _copies_through(adj, v, free):
-        yield free & ~copy.mask, chosen + [copy]
+    for mask, copy in _copies_through(adj, v, free):
+        yield free & ~mask, chosen + [copy]
     if discard:
         yield free & ~(1 << v), chosen
 

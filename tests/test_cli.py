@@ -667,14 +667,37 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
     assert fragment in err
 
 
-def test_rejected_config_writes_no_csv(tmp_path, capsys):
-    # a config is checked whole before the CSV is opened, so a rejected one
-    # leaves no header-only file behind
+EXTREMAL_ENTRY = {"n": 26, "delta": 13, "seeds": [1]}
+# configs rejected by from_file itself or by the generators building their
+# instances; the last one fails only at its second entry
+REJECTED_CONFIGS = [
+    pytest.param({"instances": [{**RANDOM_ENTRY, "n": 0}]}, id="n-zero"),
+    pytest.param({"instances": [{**RANDOM_ENTRY, "p_red": 2}]}, id="p-red-above-1"),
+    pytest.param({"instances": [{**RANDOM_ENTRY, "p_red": True}]}, id="p-red-bool"),
+    pytest.param({"instances": [EXTREMAL_ENTRY], "part_method": "nope"}, id="part-method-unknown"),
+    pytest.param(
+        {"instances": [EXTREMAL_ENTRY, {"n": 10, "delta": 2, "seeds": [1]}]},
+        id="infeasible-delta-after-valid-entry",
+    ),
+]
+
+
+@pytest.mark.parametrize("data", REJECTED_CONFIGS)
+def test_rejected_config_writes_no_csv(tmp_path, capsys, data):
+    # a config is checked whole, every instance built, before the CSV is
+    # opened: a rejected one creates no file and leaves an existing one as is
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"instances": [{**RANDOM_ENTRY, "n": 0}]}))
+    config.write_text(json.dumps(data))
     out = tmp_path / "runs.csv"
-    assert run(capsys, "experiment", "--config", str(config), "--out", str(out))[0] == 1
+    rejected = ("experiment", "--config", str(config), "--out", str(out))
+    assert run(capsys, *rejected)[0] == 1
     assert not out.exists()
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps({"instances": [RANDOM_ENTRY]}))
+    assert run(capsys, "experiment", "--config", str(valid), "--out", str(out))[0] == 0
+    before = out.read_bytes()
+    assert run(capsys, *rejected)[0] == 1
+    assert out.read_bytes() == before
 
 
 def test_negative_gamma_rejected_before_the_search(tmp_path, capsys, monkeypatch):

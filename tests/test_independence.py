@@ -1,12 +1,14 @@
 """Independence number solver against exhaustive subset enumeration."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from monotile.generators import triangle_free_process
 from monotile.graphs import Graph
 from monotile.independence import (
+    greedy_independent,
     is_triangle_free,
     max_independent_set_exact,
 )
@@ -33,6 +35,24 @@ class TestTriangleFree:
         assert is_triangle_free(c5)
         k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
         assert not is_triangle_free(k3)
+
+
+class TestGreedyIndependent:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_independent_maximal_and_taken_in_order(self, seed):
+        g = random_graph(14, 0.35, seed)
+        adj = [g.neighbors_mask(v) for v in range(g.n)]
+        shuffled = list(range(g.n))
+        random.Random(seed).shuffle(shuffled)
+        for order in (range(g.n), shuffled):
+            taken = []  # reference: take v unless a taken vertex is adjacent
+            for v in order:
+                if not any(g.has_edge(u, v) for u in taken):
+                    taken.append(v)
+            assert greedy_independent(adj, order) == sum(1 << v for v in taken)
+            assert not any(g.has_edge(u, v) for u, v in combinations(taken, 2))
+            for v in set(range(g.n)) - set(taken):
+                assert any(g.has_edge(u, v) for u in taken)
 
 
 class TestExactIndependence:

@@ -260,9 +260,14 @@ class TestF2Tiling:
         assert res.exact
         assert len(res.copies) == oracles.max_bowtie_packing(g)
 
-    def test_copies_are_valid_and_disjoint(self):
-        g = random_graph(12, 0.6, seed=3)
-        res = f2_tiling_exact(g)
+    @pytest.mark.parametrize("spec, require_perfect", [
+        pytest.param(("random", 12, 0.6, 3), False, id="random-maximum"),
+        pytest.param(("reduction", 20, 0), True, id="reduction-perfect"),
+    ])
+    def test_copies_are_valid_and_disjoint(self, spec, require_perfect):
+        g = pinned_f2_graph(spec)
+        res = f2_tiling_exact(g, require_perfect)
+        assert res.copies
         used = 0
         for copy in res.copies:
             assert not used & copy.mask
@@ -277,6 +282,24 @@ class TestF2Tiling:
                 (b1, b2),
             ]:
                 assert g.has_edge(x, y)
+
+    @pytest.mark.parametrize("spec, require_perfect", [
+        pytest.param(("random", 15, 0.7, 2), False, id="random-maximum"),
+        pytest.param(("reduction", 20, 0), True, id="reduction-perfect"),
+    ])
+    def test_records_built_only_for_the_answer(self, monkeypatch, spec, require_perfect):
+        # the search carries masks; an F2Copy is made for each returned copy
+        built = []
+        post_init = F2Copy.__post_init__
+
+        def counting(copy):
+            built.append(copy)
+            post_init(copy)
+
+        monkeypatch.setattr(F2Copy, "__post_init__", counting)
+        res = f2_tiling_exact(pinned_f2_graph(spec), require_perfect)
+        assert res.copies
+        assert len(built) == len(res.copies)
 
     def test_budget_exhaustion(self):
         red = dense_reduction(25, seed=0)
