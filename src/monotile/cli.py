@@ -79,7 +79,7 @@ class ExperimentConfig:
     modes: list[str]
     budget: Optional[int]
     gamma: Fraction
-    part_method: str
+    part_method: Optional[str]
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -103,8 +103,8 @@ class ExperimentConfig:
                     raise ValueError(f"{kind} entries need an integer `{key}`")
             if entry["n"] < 1:
                 raise ValueError(f"{kind} entries need `n` >= 1, got {entry['n']}")
-            p_red = entry.get("p_red", 0.5)
-            if isinstance(p_red, bool) or not isinstance(p_red, (int, float)):
+            p_red = entry.get("p_red")
+            if p_red is not None and type(p_red) not in (int, float):
                 raise ValueError(f"`p_red` must be a number, got {p_red!r}")
         modes = raw.get("modes", [WEAK])
         if not isinstance(modes, list):
@@ -126,7 +126,7 @@ class ExperimentConfig:
             modes=list(modes),
             budget=budget,
             gamma=gamma,
-            part_method=raw.get("part_method", "circulant_catalog"),
+            part_method=raw.get("part_method"),
         )
 
 
@@ -176,9 +176,9 @@ def build_parser() -> _Parser:
     gen.add_argument("--n", type=int)
     gen.add_argument("--delta", type=int)
     gen.add_argument("--m", type=int)
-    gen.add_argument("--density", type=float, default=1.0)
-    gen.add_argument("--p-red", type=float, default=0.5)
-    gen.add_argument("--part-method", default="circulant_catalog")
+    gen.add_argument("--density", type=float)
+    gen.add_argument("--p-red", type=float)
+    gen.add_argument("--part-method")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
 
@@ -273,21 +273,38 @@ def _dispatch(args) -> int:
     raise UsageError(f"unknown command {args.command!r}")
 
 
+# the parameters each kind of instance reads, besides its seed
+_READS = {
+    "extremal": ("n", "delta", "part_method"),
+    "random": ("n", "p_red"),
+    "five-part": ("m", "density", "p_red"),
+}
+
+
 def _instance(
     kind: str,
     seed: int,
     n: Optional[int],
     delta: Optional[int] = None,
     m: Optional[int] = None,
-    density: float = 1.0,
-    p_red: float = 0.5,
-    part_method: str = "circulant_catalog",
+    density: Optional[float] = None,
+    p_red: Optional[float] = None,
+    part_method: Optional[str] = None,
 ) -> tuple[ColoredGraph, str]:
-    """Build one instance of kind; return it with its sidecar text."""
+    """Build one instance of kind; return it with its sidecar text.  A
+    parameter left None takes its default, and one set for a kind that never
+    reads it is rejected."""
+    given = {"n": n, "delta": delta, "m": m, "density": density, "p_red": p_red,
+             "part_method": part_method}
+    unread = [key for key, value in given.items() if value is not None and key not in _READS[kind]]
+    if unread:
+        raise UsageError(f"{kind} instances take no {' or '.join(unread)}")
+    p_red = 0.5 if p_red is None else p_red
     if kind == "extremal":
         if n is None or delta is None:
             raise UsageError("generate --kind extremal needs --n and --delta")
-        inst = extremal_instance(n, delta, part_method, seed)
+        method = "circulant_catalog" if part_method is None else part_method
+        inst = extremal_instance(n, delta, method, seed)
         return inst.colored_graph, extremal_sidecar(inst)
     if kind == "random":
         if n is None:
@@ -297,7 +314,7 @@ def _instance(
         return cg, sidecar_text([(key, str(value)) for key, value in meta.items()])
     if m is None:
         raise UsageError("generate --kind five-part needs --m")
-    inst = five_part_instance(m, density, p_red, seed)
+    inst = five_part_instance(m, 1.0 if density is None else density, p_red, seed)
     return inst.colored_graph, five_part_sidecar(inst)
 
 
@@ -421,7 +438,7 @@ def _cmd_experiment(args) -> int:
     # build (so the generators check) every instance before the CSV is opened
     runs = [
         (seed, _instance(entry.get("kind", "extremal"), seed, entry["n"], entry.get("delta"),
-                         p_red=entry.get("p_red", 0.5), part_method=config.part_method)[0])
+                         p_red=entry.get("p_red"), part_method=config.part_method)[0])
         for entry in config.instances for seed in entry["seeds"]
     ]
     out = Path(args.out)

@@ -45,6 +45,43 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class DepthFirst:
+    """Depth-first search on an explicit stack of lazy child frames, shared
+    by the package's three branch-and-bounds.
+
+    Iterating yields the open nodes, root first.  push(children) on a yielded
+    node makes its children, any iterable, the next frame; they are drawn one
+    at a time as the search reaches them, so children that a budget or a
+    prune never reaches are never built.  A node without a push is pruned.
+    The stack is explicit, so depth is not bound by the recursion limit.
+    Budgets count expansions: .nodes counts the nodes drawn, and the search
+    stops when it draws node budget + 1, without yielding it, and sets .exact
+    to False.  Breaking out of the loop leaves .exact as it is.
+    """
+
+    def __init__(self, root, budget: Optional[int] = None):
+        self.nodes = 0
+        self.exact = True
+        self._budget = budget
+        self._frames = [iter((root,))]
+
+    def push(self, children: Iterable) -> None:
+        self._frames.append(iter(children))
+
+    def __iter__(self) -> Iterator:
+        frames = self._frames
+        while frames:
+            node = next(frames[-1], frames)  # frames is no node: it marks the end
+            if node is frames:
+                frames.pop()
+                continue
+            self.nodes += 1
+            if self._budget is not None and self.nodes > self._budget:
+                self.exact = False
+                return
+            yield node
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:

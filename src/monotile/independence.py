@@ -4,9 +4,7 @@ These are the oracles behind the extremal generators: part graphs must be
 triangle-free, and their achieved independence numbers are reported on every
 instance.  The solver is a plain branch-and-bound on bitmasks with a greedy
 clique-cover bound, which is plenty at part sizes of a few dozen vertices.
-Like the triangle packer it runs on an explicit stack of open nodes
-(candidate mask, chosen mask), so its depth is not tied to Python's
-recursion limit.
+Its nodes are (candidate mask, chosen mask) pairs on `graphs.DepthFirst`.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, iter_bits
+from .graphs import DepthFirst, Graph, iter_bits
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,8 @@ def max_independent_set_exact(g: Graph, budget: Optional[int] = None) -> Indepen
 
     best_mask = greedy_independent(adj, range(n))
     best = best_mask.bit_count()
-    nodes = 0
-    exact = True
-    # open nodes (candidates, chosen); include is pushed after exclude so it
-    # pops first
-    stack = [(full, 0)]
-    while stack:
-        candidates, chosen = stack.pop()
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exact = False
-            break
+    search = DepthFirst((full, 0), budget)
+    for candidates, chosen in search:
         count = chosen.bit_count()
         if not candidates:
             if count > best:
@@ -68,15 +57,15 @@ def max_independent_set_exact(g: Graph, budget: Optional[int] = None) -> Indepen
             continue
         v = _branch_vertex(adj, candidates)
         bit = 1 << v
-        stack.append((candidates & ~bit, chosen))
-        stack.append((candidates & ~adj[v] & ~bit, chosen | bit))
+        # include v, then exclude it
+        search.push(((candidates & ~adj[v] & ~bit, chosen | bit), (candidates & ~bit, chosen)))
 
     witness = frozenset(iter_bits(best_mask))
     for v in witness:
         if adj[v] & best_mask:
             raise AssertionError("independence witness touches an edge")
     return IndependenceResult(
-        alpha=best, witness=witness, exact=exact, nodes_expanded=nodes
+        alpha=best, witness=witness, exact=search.exact, nodes_expanded=search.nodes
     )
 
 

@@ -11,7 +11,9 @@ vertex-disjoint triangles need distinct vertices of any hitting set, so
 nu <= tau (Tuza 1981, Haxell 1999).  Below the root the bound is
 |T & cover|: a triangle live at a node was live at the root, so it holds a
 vertex of T, and that vertex still has a live triangle, so it is in the
-node's cover.  Everything is deterministic; budgets count node expansions.
+node's cover.  Everything is deterministic; the search runs on
+`graphs.DepthFirst`, which draws each node's children lazily and counts
+expansions against the budget.
 
 The search state is bit-parallel, as in BBMC (San Segundo et al., Comput.
 Oper. Res. 2011): live is a bitset over triangle ids, hits[v] holds the ids
@@ -20,8 +22,7 @@ triangles, and cover is the set of vertices that still have a live triangle.
 Covering abc removes hits[a] | hits[b] | hits[c] from live, discarding v
 removes hits[v], and only the cover vertices in the near masks of the removed
 vertices are rechecked, so a node costs the work that changed rather than the
-number of triangles.  Open nodes wait on an explicit stack, so the depth of
-the search is not limited by the interpreter's recursion limit.
+number of triangles.
 
 The heuristic reads the same index and greedy completion; its (1,2)-swap is
 the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
@@ -55,6 +56,7 @@ from .graphs import (
     STRONG,
     WEAK,
     ColoredGraph,
+    DepthFirst,
     Tiling,
     Triangle,
     enumerate_mono_triangles,
@@ -82,8 +84,8 @@ def max_mono_tiling_exact(
     the module docstring).  The budget caps each search, so strong mode can
     expand at most 2·(budget+1) nodes in all.  exact=False means a budget ran
     out and the incumbent is only a lower bound.  upper_bound_used is the
-    bound at the root, min(floor(|cover|/3), |T|) (the larger of the two
-    colours' in strong mode).
+    bound at the root, min(floor(|cover|/3), |T|), taken before any node is
+    expanded (the larger of the two colours' in strong mode).
     """
     triangles, searches = _searches(cg, mode)
     index = _index(triangles)
@@ -127,25 +129,20 @@ def _checked_tiling(cg: ColoredGraph, chosen: Sequence[Triangle], mode: str) -> 
     return tiling
 
 
-_Index = tuple[list[tuple[int, int, int]], list[int], list[int]]
+_Index = tuple[list[tuple[int, int, int]], list[int]]
 
 
 def _index(triangles: Sequence[Triangle]) -> _Index:
-    """Vertex triples by triangle id; per vertex, hits (the bitset of the ids
-    of its triangles) and near (the vertex mask of those triangles)."""
+    """Vertex triples by triangle id, and per vertex its hits: the bitset of
+    the ids of its triangles."""
     verts = [t.vertices for t in triangles]
     n = 1 + max((c for _, _, c in verts), default=-1)
     ids: list[list[int]] = [[] for _ in range(n)]
-    near = [0] * n
     for i, (a, b, c) in enumerate(verts):
-        mask = 1 << a | 1 << b | 1 << c
         ids[a].append(i)
         ids[b].append(i)
         ids[c].append(i)
-        near[a] |= mask
-        near[b] |= mask
-        near[c] |= mask
-    return verts, [_bits(row, len(verts)) for row in ids], near
+    return verts, [_bits(row, len(verts)) for row in ids]
 
 
 def _cover(hits: list[int], live: int) -> int:
@@ -164,33 +161,32 @@ def _greedy(verts: list[tuple[int, int, int]], hits: list[int], live: int) -> li
     return chosen
 
 
-def _transversal(verts: list[tuple[int, int, int]], hits: list[int], live: int) -> int:
+def _transversal(hits: list[int], live: int) -> int:
     """Greedy hitting set of the live ids, as a vertex mask: the vertex on the
-    most live triangles first, the lowest vertex on ties."""
-    count = [(h & live).bit_count() for h in hits]
-    heap = [(-k, v) for v, k in enumerate(count) if k]
+    most live triangles first, the lowest vertex on ties.  A vertex is
+    recounted only at the top of the heap (Minoux 1978): counts only fall, so
+    a top that keeps its count is the greedy choice."""
+    heap = [(-(h & live).bit_count(), v) for v, h in enumerate(hits) if h & live]
     heapq.heapify(heap)
     taken = 0
     while live:
-        k, v = heapq.heappop(heap)
-        if -k != count[v]:
-            continue  # stale: v lost triangles after this entry was pushed
+        k, v = heap[0]
+        now = -(hits[v] & live).bit_count()
+        if k != now:
+            heapq.heapreplace(heap, (now, v))
+            continue
+        heapq.heappop(heap)
         taken |= 1 << v
-        dying = hits[v] & live
-        live ^= dying
-        for i in iter_bits(dying):
-            for u in verts[i]:
-                count[u] -= 1
-                if u != v:
-                    heapq.heappush(heap, (-count[u], u))
+        live &= ~hits[v]
     return taken
 
 
 def _pack_exact(
     triangles: list[Triangle], index: _Index, searched: int, budget: Optional[int]
 ) -> tuple[list[Triangle], int, bool, int]:
-    verts, hits, near = index
-    hitting = _transversal(verts, hits, searched)
+    verts, hits = index
+    near = [_cover(hits, h & searched) for h in hits]
+    hitting = _transversal(hits, searched)
 
     def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
         # Remove the triangle ids in gone from live and the vertices in
@@ -204,36 +200,29 @@ def _pack_exact(
             check ^= low
         return live, cover
 
-    best_choice: list[int] = []
-    nodes = 0
-    exhausted = False
-    root_bound = 0
-    # Each entry is (live, cover, chosen); children are pushed in reverse so
-    # they pop in branching order: triangles through v by id, then discard v.
-    stack = [(searched, _cover(hits, searched), [])]
-    while stack:
-        live, cover, chosen = stack.pop()
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted = True
-            break
-        bound = min(cover.bit_count() // 3, (hitting & cover).bit_count())
-        if nodes == 1:
-            root_bound = bound
-        extra = _greedy(verts, hits, live)
-        if len(chosen) + len(extra) > len(best_choice):
-            best_choice = chosen + extra
-        if len(chosen) + bound <= len(best_choice):
-            continue
+    def children(live: int, cover: int, chosen: list[int]):
+        # Branch on the lowest cover vertex v: its live triangles by id,
+        # then discard v.
         v = (cover & -cover).bit_length() - 1
-        stack.append((*drop(live, cover ^ 1 << v, hits[v], near[v]), chosen))
-        for i in reversed(list(iter_bits(hits[v] & live))):
+        for i in iter_bits(hits[v] & live):
             a, b, c = verts[i]
             gone = hits[a] | hits[b] | hits[c]
             touched = near[a] | near[b] | near[c]
             cover_abc = cover & ~(1 << a | 1 << b | 1 << c)
-            stack.append((*drop(live, cover_abc, gone, touched), chosen + [i]))
-    return [triangles[i] for i in best_choice], nodes, not exhausted, root_bound
+            yield (*drop(live, cover_abc, gone, touched), chosen + [i])
+        yield (*drop(live, cover ^ 1 << v, hits[v], near[v]), chosen)
+
+    root_cover = _cover(hits, searched)
+    root_bound = min(root_cover.bit_count() // 3, hitting.bit_count())
+    best: list[int] = []
+    search = DepthFirst((searched, root_cover, []), budget)
+    for live, cover, chosen in search:
+        extra = _greedy(verts, hits, live)
+        if len(chosen) + len(extra) > len(best):
+            best = chosen + extra
+        if len(chosen) + min(cover.bit_count() // 3, (hitting & cover).bit_count()) > len(best):
+            search.push(children(live, cover, chosen))
+    return [triangles[i] for i in best], search.nodes, search.exact, root_bound
 
 
 def heuristic_tiling(
@@ -259,7 +248,7 @@ def heuristic_tiling(
 def _local_search(
     triangles: list[Triangle], index: _Index, searched: int, iters: int, seed: int
 ) -> list[Triangle]:
-    verts, hits, _ = index
+    verts, hits = index
     rng = random.Random(seed)
 
     def free(sel: list[int]) -> int:
@@ -414,9 +403,6 @@ class BoundReport:
             "thm3_lower": rational_json(self.thm3_lower),
             "remarkA_upper": rational_json(self.remarkA_upper),
             "bft_weak": rational_json(self.bft_weak),
-            # schema keys kept as null: no caller ever filled them
-            "achieved_weak": None,
-            "achieved_strong": None,
         }
 
 

@@ -6,14 +6,13 @@ reduction whose perfect bowtie tilings certify triangle-tiling counts, the
 exact bowtie packer, and the constructive monochromatic-triangle finders used
 on three-part and five-part shapes.
 
-The bowtie packer runs on an explicit stack, like the triangle packer and the
-independence search, but each frame is a lazy iterator over one node's
-children: a vertex of a dense auxiliary graph can lie in hundreds of
-thousands of bowties, far more than the nodes a budgeted search expands, so
-they are generated only as the search reaches them.  A child is a vertex
-mask and a (center, wing, wing) tuple; `F2Copy` records are built only for the
-packing returned.  `_f2_children` stays a generator function: it binds each
-node's free and chosen masks when the node's iterator is made.
+The bowtie packer runs on `graphs.DepthFirst`, which draws each node's
+children lazily: a vertex of a dense auxiliary graph can lie in hundreds of
+thousands of bowties, far more than the nodes a budgeted search expands.  A
+child is a vertex mask and a (center, wing, wing) tuple; `F2Copy` records
+are built only for the packing returned.  `_f2_children` stays a generator
+function: it binds each node's free and chosen masks when the node's
+iterator is made.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .graphs import (
     RED,
     WEAK,
     ColoredGraph,
+    DepthFirst,
     Graph,
     Tiling,
     Triangle,
@@ -339,21 +339,8 @@ def f2_tiling_exact(
     anchor = greedy_independent(adj, sorted(range(n), key=lambda u: (adj[u].bit_count(), u)))
 
     best: list[_Bowtie] = []
-    nodes = 0
-    exact = True
-    # Each entry iterates one open node's children (free, chosen) in
-    # branching order.
-    stack = [iter([(full, [])])]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            continue
-        free, chosen = child
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exact = False
-            break
+    search = DepthFirst((full, []), budget)
+    for free, chosen in search:
         if require_perfect and not free:
             best = chosen  # the only place perfect mode sets best
             break
@@ -367,9 +354,9 @@ def f2_tiling_exact(
             if len(chosen) + limit <= len(best):
                 continue
         v = min(iter_bits(free), key=lambda u: (adj[u] & free).bit_count())
-        stack.append(_f2_children(adj, v, free, chosen, not require_perfect))
+        search.push(_f2_children(adj, v, free, chosen, not require_perfect))
     copies = tuple(F2Copy(center, (w1, w2)) for center, w1, w2 in best)
-    return F2TilingResult(copies, len(best) * 5 == n, exact, nodes)
+    return F2TilingResult(copies, len(best) * 5 == n, search.exact, search.nodes)
 
 
 def _f2_children(

@@ -7,6 +7,7 @@ freeze these answers against the optimized implementations on small inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -59,6 +60,20 @@ def max_packing_size(triangles: list[Triangle]) -> int:
     result = best(0)
     best.cache_clear()
     return result
+
+
+def greedy_transversal(triples: list[tuple[int, int, int]]) -> int:
+    """Greedy hitting set of the vertex triples, as a vertex mask: every step
+    recounts the triples left at each vertex and takes the vertex on the
+    most, the lowest vertex on ties."""
+    left = list(triples)
+    taken = 0
+    while left:
+        count = Counter(v for t in left for v in t)
+        v = min(count, key=lambda u: (-count[u], u))
+        taken |= 1 << v
+        left = [t for t in left if v not in t]
+    return taken
 
 
 def greedy_traps(k: int) -> ColoredGraph:

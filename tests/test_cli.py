@@ -89,8 +89,6 @@ class TestBounds:
         assert code == 0
         report = json.loads(out)
         assert sorted(report) == [
-            "achieved_strong",
-            "achieved_weak",
             "bft_weak",
             "delta",
             "gamma",
@@ -98,8 +96,6 @@ class TestBounds:
             "remarkA_upper",
             "thm3_lower",
         ]
-        assert report["achieved_weak"] is None
-        assert report["achieved_strong"] is None
         assert report["n"] == 60
         assert report["delta"] == 50
 
@@ -616,6 +612,7 @@ K3_RED = "3 3\n0 1 r\n0 2 r\n1 2 r\n"
 RANDOM_ENTRY = {"kind": "random", "n": 7, "seeds": [1]}
 VERIFY = ("verify", "--instance", "{inst}", "--report", "{data}")
 EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
+GENERATE = ("generate", "--seed", "0", "--out", "{out}")
 
 # argv (with {inst}, {empty}, {data}, {out} filled in), JSON written to
 # {data}, and a fragment the error message must contain.  {inst} is an
@@ -650,6 +647,12 @@ HOSTILE_INPUTS = [
     pytest.param(("solve", "--instance", "{empty}", "--gamma", "-1"), None, "gamma >= 0", id="solve-gamma-negative-empty-instance"),
     pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "gamma": -1}, "gamma >= 0", id="config-gamma-negative"),
     pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "n": 0}]}, "`n` >= 1", id="config-n-zero"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "part_method": "nope"}, "random instances take no part_method", id="config-part-method-random-only"),
+    pytest.param(EXPERIMENT, {"instances": [{"n": 26, "delta": 13, "p_red": 0.5, "seeds": [1]}]}, "extremal instances take no p_red", id="config-p-red-extremal"),
+    pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "delta": 3}]}, "random instances take no delta", id="config-delta-random"),
+    pytest.param(GENERATE + ("--random", "--n", "7", "--part-method", "nope", "--density", "0.3"), None, "random instances take no density or part_method", id="generate-random-unread-flags"),
+    pytest.param(GENERATE + ("--extremal", "--n", "26", "--delta", "13", "--p-red", "0.5"), None, "extremal instances take no p_red", id="generate-extremal-p-red"),
+    pytest.param(GENERATE + ("--five-part", "--m", "4", "--n", "20", "--part-method", "circulant_catalog"), None, "five-part instances take no n or part_method", id="generate-five-part-n-part-method"),
 ]
 
 
@@ -665,6 +668,7 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert fragment in err
+    assert not paths["out"].exists()
 
 
 EXTREMAL_ENTRY = {"n": 26, "delta": 13, "seeds": [1]}
@@ -675,6 +679,9 @@ REJECTED_CONFIGS = [
     pytest.param({"instances": [{**RANDOM_ENTRY, "p_red": 2}]}, id="p-red-above-1"),
     pytest.param({"instances": [{**RANDOM_ENTRY, "p_red": True}]}, id="p-red-bool"),
     pytest.param({"instances": [EXTREMAL_ENTRY], "part_method": "nope"}, id="part-method-unknown"),
+    pytest.param({"instances": [RANDOM_ENTRY], "part_method": "nope"}, id="part-method-random-only"),
+    pytest.param({"instances": [EXTREMAL_ENTRY, RANDOM_ENTRY], "part_method": "circulant_catalog"}, id="part-method-with-a-random-entry"),
+    pytest.param({"instances": [{**EXTREMAL_ENTRY, "p_red": 0.5}]}, id="p-red-on-extremal"),
     pytest.param(
         {"instances": [EXTREMAL_ENTRY, {"n": 10, "delta": 2, "seeds": [1]}]},
         id="infeasible-delta-after-valid-entry",

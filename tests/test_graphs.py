@@ -12,6 +12,7 @@ from monotile.graphs import (
     STRONG,
     WEAK,
     ColoredGraph,
+    DepthFirst,
     DuplicateEdgeError,
     Graph,
     GraphError,
@@ -43,6 +44,59 @@ def random_colored(n: int, p_edge: float, p_red: float, seed: int) -> ColoredGra
             if rng.random() < p_edge:
                 edges.append((u, v, RED if rng.random() < p_red else BLUE))
     return build_colored_graph(n, edges)
+
+
+# A hand-built tree, by children in branching order; preorder r a c d b e f.
+TREE = {"r": "ab", "a": "cd", "b": "e", "e": "f"}
+
+
+def walk(budget=None, prune=""):
+    search = DepthFirst("r", budget)
+    seen = ""
+    for node in search:
+        seen += node
+        if node not in prune:
+            search.push(TREE.get(node, ""))
+    return seen, search.nodes, search.exact
+
+
+class TestDepthFirst:
+    def test_expands_in_preorder(self):
+        assert walk() == ("racdbef", 7, True)
+
+    def test_a_node_without_a_push_is_pruned(self):
+        assert walk(prune="a") == ("rabef", 5, True)
+        assert walk(prune="r") == ("r", 1, True)
+
+    @pytest.mark.parametrize(
+        "budget, want",
+        [(0, ("", 1, False)), (1, ("r", 2, False)), (6, ("racdbe", 7, False)), (7, ("racdbef", 7, True))],
+    )
+    def test_budget_stops_at_node_budget_plus_one(self, budget, want):
+        assert walk(budget) == want
+
+    def test_children_are_drawn_only_when_reached(self):
+        drawn = []
+
+        def children(node):
+            for child in TREE.get(node, ""):
+                drawn.append(child)
+                yield child
+
+        search = DepthFirst("r", budget=2)
+        for node in search:
+            search.push(children(node))
+        assert drawn == ["a", "c"]  # c is node 3, drawn and not expanded
+
+    def test_break_keeps_exact(self):
+        search = DepthFirst("r", budget=5)
+        seen = ""
+        for node in search:
+            seen += node
+            if node == "d":
+                break
+            search.push(TREE.get(node, ""))
+        assert (seen, search.nodes, search.exact) == ("racd", 4, True)
 
 
 class TestGraphBasics:

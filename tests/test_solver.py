@@ -121,6 +121,14 @@ class TestExactSolver:
         assert res.exact
         assert res.tiling.size == res.upper_bound_used == inst.best_bound()
 
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    def test_budget_0_reports_the_root_bound(self, mode):
+        # no node is expanded, but the root bound comes from the root cover
+        cg = five_part_instance(8, 0.5, 0.5, 0).colored_graph
+        res = max_mono_tiling_exact(cg, mode, budget=0)
+        assert not res.exact
+        assert res.upper_bound_used == max_mono_tiling_exact(cg, mode).upper_bound_used == 7
+
     def test_node_budget_still_verifies(self):
         cg = random_colored(12, 0.8, 0.5, seed=0)
         res = max_mono_tiling_exact(cg, WEAK, budget=2)
@@ -249,16 +257,17 @@ class TestTransversal:
         # one index over every triangle, searched under the weak, red and
         # blue masks, as the solver searches it
         triangles, masks = _searches(random_colored(11, 0.7, 0.5, seed), WEAK, heuristic=True)
-        verts, hits, _ = _index(triangles)
+        _, hits = _index(triangles)
         for live in masks:
             searched = [t for i, t in enumerate(triangles) if live >> i & 1]
-            hitting = _transversal(verts, hits, live)
+            hitting = _transversal(hits, live)
             assert all(t.mask & hitting for t in searched)
             assert not hitting & ~_cover(hits, live)
             assert hitting.bit_count() >= oracles.max_packing_size(searched)
+            assert hitting == oracles.greedy_transversal([t.vertices for t in searched])
 
     def test_no_triangles_no_vertices(self):
-        assert _transversal([], [], 0) == 0
+        assert _transversal([], 0) == 0
 
     @pytest.mark.parametrize("n, delta", [(40, 22), (60, 33), (90, 50)])
     def test_extremal_classes_proven_at_budget_1000(self, n, delta):
@@ -283,13 +292,15 @@ class TestIndex:
             for v in t.vertices:
                 hits[v] |= 1 << i
                 near[v] |= t.mask
-        verts, got_hits, got_near = _index(triangles)
+        verts, got_hits = _index(triangles)
         assert verts == [t.vertices for t in triangles]
-        assert (got_hits, got_near) == (hits, near)
+        assert got_hits == hits
+        # the exact search's near masks, built from hits alone
+        assert [_cover(got_hits, h) for h in got_hits] == near
         assert _cover(got_hits, (1 << len(triangles)) - 1) == cover
 
     def test_no_triangles(self):
-        assert _index([]) == ([], [], [])
+        assert _index([]) == ([], [])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_colour_masks_partition_every_triangle(self, seed):
