@@ -3,17 +3,27 @@
 The exact solver is a branch-and-bound over the monochromatic-triangle
 hypergraph.  At every node it branches on the lexicographically first vertex
 still covered by some live triangle (cover it with one of its triangles, or
-discard it), keeps a greedy completion as the incumbent, and prunes with the
-smaller of two bounds on the triangles still to come.  The first is
-floor(|cover|/3).  The second comes from one greedy hitting set T of the
-triangles, taken once at the root (the vertex on the most triangles first):
-vertex-disjoint triangles need distinct vertices of any hitting set, so
-nu <= tau (Tuza 1981, Haxell 1999).  Below the root the bound is
-|T & cover|: a triangle live at a node was live at the root, so it holds a
-vertex of T, and that vertex still has a live triangle, so it is in the
-node's cover.  Everything is deterministic; the search runs on
-`graphs.DepthFirst`, which draws each node's children lazily and counts
-expansions against the budget.
+discard it), keeps the better of its incumbent and a greedy completion, and
+prunes with the smaller of two bounds on the triangles still to come.  The
+first is floor(|cover|/3).  The second comes from one hitting set T of the
+triangles, taken once at the root: a greedy one (the vertex on the most
+triangles first), then made minimal by dropping each of its vertices,
+highest first, when the rest still hits every triangle.  Vertex-disjoint
+triangles need distinct vertices of any hitting set, so nu <= tau (Tuza
+1981, Haxell 1999).  Below the root the bound is |T & cover|: a triangle
+live at a node was live at the root, so it holds a vertex of T, and that
+vertex still has a live triangle, so it is in the node's cover.
+
+The incumbent starts as the heuristic's tiling of the same triangles (with
+the heuristic's default kicks and seed), not as the empty tiling, and the
+search stops as soon as the incumbent reaches the root bound, with the
+tiling proven optimal.  On the certified extremal instances and on most
+five-part blow-ups that happens at the root.  A larger starting incumbent
+only prunes more, so no search returns a smaller tiling at equal budget.
+Everything is deterministic; the search runs on `graphs.DepthFirst`, which
+draws each node's children lazily and counts expansions against the budget,
+so a budget of 0 expands nothing and reports exact=False even when the
+incumbent meets the root bound.
 
 The search state is bit-parallel, as in BBMC (San Segundo et al., Comput.
 Oper. Res. 2011): live is a bitset over triangle ids, hits[v] holds the ids
@@ -26,8 +36,11 @@ number of triangles.
 
 The heuristic reads the same index and greedy completion; its (1,2)-swap is
 the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
-as a search over live ids.  It stops kicking once its tiling reaches
-floor(|cover|/3), since no larger one exists.
+as a search over live ids.  It stops once its tiling reaches an upper
+bound on every tiling of its mask: floor(|cover|/3) in heuristic_tiling, the
+root bound when it seeds the exact search.  No larger tiling exists, so
+stopping changes no result; a first greedy tiling that already reaches the
+bound is returned untouched.
 
 A solve enumerates the monochromatic triangles once and builds one index
 over them; each search is a mask of triangle ids over that index.  Weak and
@@ -67,6 +80,11 @@ from .graphs import (
 from .rationals import as_fraction, rational_json
 
 
+# The heuristic's defaults; the exact search seeds its incumbent with them.
+HEURISTIC_ITERS = 32
+HEURISTIC_SEED = 0
+
+
 @dataclass(frozen=True)
 class SolveResult:
     tiling: Tiling
@@ -83,9 +101,10 @@ def max_mono_tiling_exact(
     Strong mode searches each color class and keeps the better result (see
     the module docstring).  The budget caps each search, so strong mode can
     expand at most 2·(budget+1) nodes in all.  exact=False means a budget ran
-    out and the incumbent is only a lower bound.  upper_bound_used is the
-    bound at the root, min(floor(|cover|/3), |T|), taken before any node is
-    expanded (the larger of the two colours' in strong mode).
+    out and the incumbent, at least the heuristic's tiling, is only a lower
+    bound.  upper_bound_used is the bound at the root, min(floor(|cover|/3),
+    |T|) with T the minimal hitting set, taken before any node is expanded
+    (the larger of the two colours' in strong mode).
     """
     triangles, searches = _searches(cg, mode)
     index = _index(triangles)
@@ -181,12 +200,30 @@ def _transversal(hits: list[int], live: int) -> int:
     return taken
 
 
+def _minimal(hits: list[int], taken: int, live: int) -> int:
+    """taken, a hitting set of the live ids, with each vertex dropped,
+    highest first, when the rest of the set still hits every live id.  The
+    rest is the union of the kept vertices above and a prefix union of the
+    vertices below, so the pass costs one OR per vertex."""
+    order = list(iter_bits(taken))
+    below = [0]
+    for v in order:
+        below.append(below[-1] | hits[v])
+    above = 0
+    for j in reversed(range(len(order))):
+        if live & ~(below[j] | above):
+            above |= hits[order[j]]
+        else:
+            taken ^= 1 << order[j]
+    return taken
+
+
 def _pack_exact(
     triangles: list[Triangle], index: _Index, searched: int, budget: Optional[int]
 ) -> tuple[list[Triangle], int, bool, int]:
     verts, hits = index
     near = [_cover(hits, h & searched) for h in hits]
-    hitting = _transversal(hits, searched)
+    hitting = _minimal(hits, _transversal(hits, searched), searched)
 
     def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
         # Remove the triangle ids in gone from live and the vertices in
@@ -214,19 +251,21 @@ def _pack_exact(
 
     root_cover = _cover(hits, searched)
     root_bound = min(root_cover.bit_count() // 3, hitting.bit_count())
-    best: list[int] = []
+    best = _local_search(index, searched, HEURISTIC_ITERS, HEURISTIC_SEED, root_bound)
     search = DepthFirst((searched, root_cover, []), budget)
     for live, cover, chosen in search:
         extra = _greedy(verts, hits, live)
         if len(chosen) + len(extra) > len(best):
             best = chosen + extra
+        if len(best) == root_bound:
+            break
         if len(chosen) + min(cover.bit_count() // 3, (hitting & cover).bit_count()) > len(best):
             search.push(children(live, cover, chosen))
     return [triangles[i] for i in best], search.nodes, search.exact, root_bound
 
 
 def heuristic_tiling(
-    cg: ColoredGraph, mode: str = WEAK, iters: int = 32, seed: int = 0
+    cg: ColoredGraph, mode: str = WEAK, iters: int = HEURISTIC_ITERS, seed: int = HEURISTIC_SEED
 ) -> Tiling:
     """Greedy tiling plus (1,1)/(1,2)-swap local search, seeded random kicks.
 
@@ -241,13 +280,20 @@ def heuristic_tiling(
     """
     triangles, searches = _searches(cg, mode, heuristic=True)
     index = _index(triangles)
-    found = (_local_search(triangles, index, live, iters, seed) for live in searches)
-    return _checked_tiling(cg, max(found, key=len), mode)
+    _, hits = index
+    found = (
+        _local_search(index, live, iters, seed, _cover(hits, live).bit_count() // 3)
+        for live in searches
+    )
+    return _checked_tiling(cg, [triangles[i] for i in max(found, key=len)], mode)
 
 
 def _local_search(
-    triangles: list[Triangle], index: _Index, searched: int, iters: int, seed: int
-) -> list[Triangle]:
+    index: _Index, searched: int, iters: int, seed: int, most: int
+) -> list[int]:
+    """The heuristic's tiling of the searched ids, as ids (see heuristic_tiling).
+    most bounds every tiling of searched from above; the search stops once
+    its tiling reaches it."""
     verts, hits = index
     rng = random.Random(seed)
 
@@ -266,14 +312,23 @@ def _local_search(
     def swap(sel: list[int]) -> bool:
         # (1,2)-swap in place: the first position whose pool holds two
         # disjoint ids gives way to the lexicographically first such pair.
-        for pos in range(len(sel)):
-            live = pool(sel, pos)
+        # A position's pool is the searched ids outside the union of the
+        # ids blocked by the triangles before it and by those after it
+        # (prefix and suffix unions), so a pass costs O(|sel|) unions.
+        masks = [hits[a] | hits[b] | hits[c] for a, b, c in (verts[i] for i in sel)]
+        after = [0] * (len(sel) + 1)
+        for pos in reversed(range(len(sel))):
+            after[pos] = after[pos + 1] | masks[pos]
+        before = 0
+        for pos, j in enumerate(sel):
+            live = searched & ~(before | after[pos + 1]) & ~(1 << j)
             for i in iter_bits(live):
                 a, b, c = verts[i]
                 pair = (live >> i << i) & ~(hits[a] | hits[b] | hits[c])
                 if pair:
                     sel[pos:] = sel[pos + 1 :] + [i, (pair & -pair).bit_length() - 1]
                     return True
+            before |= masks[pos]
         return False
 
     def improve(sel: list[int]) -> list[int]:
@@ -282,8 +337,10 @@ def _local_search(
             if not swap(sel):
                 return sel
 
-    most = _cover(hits, searched).bit_count() // 3  # no tiling of searched is larger
-    current = improve([])
+    first = _greedy(verts, hits, searched)
+    if len(first) == most:  # no swap or kick can pass the bound
+        return first
+    current = improve(first)
     best = list(current)
     for _ in range(iters):
         if len(best) == most:
@@ -296,7 +353,7 @@ def _local_search(
         current = improve(current)
         if len(current) > len(best):
             best = list(current)
-    return [triangles[i] for i in best]
+    return best
 
 
 def verify_tiling(cg: ColoredGraph, tiling: Tiling) -> bool:

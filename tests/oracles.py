@@ -87,6 +87,34 @@ def greedy_traps(k: int) -> ColoredGraph:
     return build_colored_graph(6 * k, edges)
 
 
+def red_cliques(k: int, size: int) -> ColoredGraph:
+    """k disjoint all-red K_size.
+
+    The maximum tiling has k triangles, one per clique, but for size 4 or 5
+    a root bound of floor(cover/3) or any hitting set (at least size - 2
+    vertices per clique) exceeds k once k >= 3, so no root bound closes the
+    search and a budget runs out.
+    """
+    edges = [
+        (size * g + a, size * g + b, RED)
+        for g in range(k)
+        for a, b in combinations(range(size), 2)
+    ]
+    return build_colored_graph(size * k, edges)
+
+
+def is_minimal_transversal(triples: list[tuple[int, int, int]], taken: int) -> bool:
+    """Whether the vertex mask taken hits every triple, while taken without
+    any one of its vertices misses some triple."""
+
+    def hits_all(mask: int) -> bool:
+        return all(any(mask >> v & 1 for v in t) for t in triples)
+
+    return hits_all(taken) and not any(
+        hits_all(taken & ~(1 << v)) for v in range(taken.bit_length()) if taken >> v & 1
+    )
+
+
 def max_weak_size(cg: ColoredGraph) -> int:
     return max_packing_size(mono_triangles(cg))
 

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from monotile import cli
+from monotile import cli, solver
 from monotile.cli import CSV_COLUMNS, build_parser, run_cli
-from monotile.generators import circulant, parse_sidecar
+from monotile.generators import circulant, extremal_instance, parse_sidecar
 from monotile.graphio import dump_colored_graph, dump_graph, load_colored_graph
 from monotile.rationals import rational_json
 from monotile.solver import bound_table
@@ -371,7 +371,7 @@ REPORT_PINS = [
      '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":true,"mode":"weak","n":7,"nodes":1,"size":2,'
      '"tiling":[[0,1,4,"b"],[2,3,5,"r"]]}'),
     ("k7-seed5", ("--exact", "--mode", "strong"),
-     '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":true,"mode":"strong","n":7,"nodes":10,"size":2,'
+     '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":true,"mode":"strong","n":7,"nodes":2,"size":2,'
      '"tiling":[[0,3,4,"b"],[1,5,6,"b"]]}'),
     ("k7-seed5", ("--heuristic", "--mode", "weak"),
      '{"bounds":{"bft":1,"remarkA":2,"thm3":2},"delta":6,"exact":false,"mode":"weak","n":7,"nodes":0,"size":2,'
@@ -395,10 +395,10 @@ REPORT_PINS = [
      '{"bounds":{"bft":0,"remarkA":"17/3","thm3":"14/3"},"delta":17,"exact":true,"mode":"weak","n":26,"nodes":1,'
      '"size":0,"tiling":[]}'),
     ("five-part-6-seed5", ("--exact", "--mode", "weak"),
-     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"weak","n":30,"nodes":1129,"size":6,'
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"weak","n":30,"nodes":1,"size":6,'
      '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,7,14,"r"],[3,19,26,"b"],[4,8,15,"b"],[5,10,16,"r"]]}'),
     ("five-part-6-seed5", ("--exact", "--mode", "strong"),
-     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"strong","n":30,"nodes":719,"size":6,'
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":true,"mode":"strong","n":30,"nodes":2,"size":6,'
      '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,8,13,"b"],[3,19,26,"b"],[4,7,15,"b"],[5,20,27,"b"]]}'),
     ("five-part-6-seed5", ("--heuristic", "--mode", "weak"),
      '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":false,"mode":"weak","n":30,"nodes":0,"size":6,'
@@ -418,6 +418,24 @@ def test_pinned_solve_report(tmp_path, capsys, name, flags, expected):
     report = json.loads(out)
     assert report.pop("runtime_ms") >= 0
     assert json.dumps(report, sort_keys=True, separators=(",", ":")) == expected
+
+
+@pytest.mark.parametrize("n", [30, 45, 60, 75, 90, 120])
+def test_certified_extremal_family_is_proven(tmp_path, capsys, n):
+    # The construction behind the paper's tight bounds, seed 1, delta from
+    # n/2 + 1 up to n - 1 in steps of max(1, n/16) (63 instances): solve
+    # --exact, with no budget, proves each one's certificate bound.
+    path = tmp_path / "x.edges"
+    got, want = [], []
+    for delta in range(n // 2 + 1, n, max(1, n // 16)):
+        inst = extremal_instance(n, delta, seed=1)
+        path.write_text(dump_colored_graph(inst.colored_graph))
+        code, out, err = run(capsys, "solve", "--exact", "--instance", str(path))
+        assert code == 0, err
+        report = json.loads(out)
+        got.append((delta, report["exact"], report["size"]))
+        want.append((delta, True, inst.best_bound()))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +745,26 @@ def test_zero_budget_stays_valid(tmp_path, capsys):
     assert json.loads(out)["exact"] is False
 
 
-def test_deep_instance_solves_without_traceback(tmp_path, capsys):
-    # 1,100 disjoint gadgets: the search goes thousands of levels deep, past
-    # the interpreter's default recursion limit of 1,000.
-    inst = tmp_path / "traps.edges"
-    inst.write_text(dump_colored_graph(oracles.greedy_traps(1100)))
-    report = tmp_path / "traps.json"
+def test_deep_instance_solves_without_traceback(tmp_path, capsys, monkeypatch):
+    # 1,100 disjoint red K4s: no root bound closes the search, which goes
+    # more than 1,000 levels deep, past the interpreter's default recursion
+    # limit (4–5 s on a shared 2-vCPU VM).
+    depths = []
+
+    class Deepest(solver.DepthFirst):
+        def push(self, children):
+            super().push(children)
+            depths.append(len(self._frames))
+
+    monkeypatch.setattr(solver, "DepthFirst", Deepest)
+    inst = tmp_path / "cliques.edges"
+    inst.write_text(dump_colored_graph(oracles.red_cliques(1100, 4)))
+    report = tmp_path / "cliques.json"
     code, _, err = run(capsys, "solve", "--exact", "--budget", "2500",
                        "--instance", str(inst), "--out", str(report))
     assert code == 0, err
     assert json.loads(report.read_text())["nodes"] == 2501
+    assert max(depths) > 1000
     code, out, _ = run(capsys, "verify", "--instance", str(inst),
                        "--report", str(report))
     assert (code, out.strip()) == (0, "valid")
@@ -752,14 +780,15 @@ class TestParserReuse:
     call may see a value left over from an earlier one."""
 
     def test_budget_does_not_carry_over(self, tmp_path, capsys):
-        inst = tmp_path / "traps.edges"
-        inst.write_text(dump_colored_graph(oracles.greedy_traps(10)))
+        # four disjoint red K4s: the root bound is 5, the optimum 4
+        inst = tmp_path / "cliques.edges"
+        inst.write_text(dump_colored_graph(oracles.red_cliques(4, 4)))
         code, out, _ = run(capsys, "solve", "--instance", str(inst), "--budget", "5")
         report = json.loads(out)
         assert (code, report["exact"], report["nodes"]) == (0, False, 6)
         code, out, _ = run(capsys, "solve", "--instance", str(inst))
         report = json.loads(out)
-        assert (code, report["exact"], report["nodes"], report["size"]) == (0, True, 256, 20)
+        assert (code, report["exact"], report["nodes"], report["size"]) == (0, True, 23, 4)
 
     def test_generate_kind_does_not_carry_over(self, tmp_path, capsys):
         calls = [

@@ -26,6 +26,7 @@ from monotile import solver
 from monotile.solver import (
     _cover,
     _index,
+    _minimal,
     _searches,
     _transversal,
     bound_table,
@@ -108,7 +109,8 @@ class TestExactSolver:
             max_mono_tiling_exact(cg, "mixed")
 
     def test_budget_exhaustion_reported(self):
-        cg = oracles.greedy_traps(10)
+        # ten disjoint red K4: the root bound is 13, the optimum 10
+        cg = oracles.red_cliques(10, 4)
         res = max_mono_tiling_exact(cg, WEAK, budget=50)
         assert not res.exact
         assert verify_tiling(cg, res.tiling)
@@ -129,6 +131,15 @@ class TestExactSolver:
         assert not res.exact
         assert res.upper_bound_used == max_mono_tiling_exact(cg, mode).upper_bound_used == 7
 
+    @pytest.mark.parametrize("mode, nodes", [(WEAK, 1), (STRONG, 2)])
+    def test_budget_1_closes_at_the_root(self, mode, nodes):
+        # the seeded incumbent meets the root bound, so the root (one per
+        # colour in strong mode) is the whole proof
+        cg = five_part_instance(8, 0.5, 0.5, 0).colored_graph
+        res = max_mono_tiling_exact(cg, mode, budget=1)
+        assert (res.exact, res.nodes_expanded) == (True, nodes)
+        assert res.tiling.size == res.upper_bound_used == 7
+
     def test_node_budget_still_verifies(self):
         cg = random_colored(12, 0.8, 0.5, seed=0)
         res = max_mono_tiling_exact(cg, WEAK, budget=2)
@@ -142,6 +153,8 @@ def pinned_instance(spec):
         return extremal_instance(n, delta, seed=seed).colored_graph
     if kind == "traps":
         return oracles.greedy_traps(*args)
+    if kind == "cliques":
+        return oracles.red_cliques(*args)
     if kind == "random":
         n, p_red, seed = args
         return random_coloring(complete_graph(n), p_red, seed=seed)
@@ -155,28 +168,31 @@ TRAPS_10_TILING = " ".join(
 
 # (instance, mode, budget) -> (size, exact, nodes_expanded, upper_bound_used,
 # tiling as "a-b-c<color>" words).  The node counts and the budgeted
-# incumbents depend on the branching order (triangles through the first
-# covered vertex by id, then discarding it), on the greedy tail taking the
-# lowest-id live triangle first, and on the root transversal (most live
-# triangles first, lowest vertex on ties).  On the greedy traps the
-# transversal bound equals floor(cover/3), so a budget still runs out there.
+# incumbents depend on the seeded incumbent (the heuristic's local search
+# with its defaults), the branching order (triangles through the first
+# covered vertex by id, then discarding it), the greedy tail taking the
+# lowest-id live triangle first, and the root transversal (most live
+# triangles first, lowest vertex on ties, then made minimal highest vertex
+# first).  A search whose incumbent meets the root bound stops at node 1.
+# On disjoint red K4s the root bound exceeds the optimum, so a budget still
+# runs out there.
 SEARCH_ORDER_PINS = [
     (("extremal", 40, 22, 1), "weak", 1000, 4, True, 1, 4,
      "18-19-36b 20-23-37b 21-25-38b 22-24-39b"),
     (("extremal", 60, 33, 1), "weak", 1000, 6, True, 1, 6,
      "27-29-54b 28-30-55b 31-33-56b 32-35-57b 34-37-58b 36-40-59b"),
-    (("traps", 10), "weak", None, 20, True, 256, 20,
+    (("traps", 10), "weak", None, 20, True, 1, 20,
      TRAPS_10_TILING),
-    (("traps", 10), "strong", None, 20, True, 257, 20,
+    (("traps", 10), "strong", None, 20, True, 2, 20,
      TRAPS_10_TILING),
-    (("five-part", 8, 0.5, 0), "weak", None, 7, True, 15, 7,
-     "0-13-16b 1-25-39b 2-12-17r 3-8-23b 4-28-33r 5-14-21r 7-31-34b"),
-    (("five-part", 8, 0.5, 0), "weak", 50, 7, True, 15, 7,
-     "0-13-16b 1-25-39b 2-12-17r 3-8-23b 4-28-33r 5-14-21r 7-31-34b"),
-    (("five-part", 8, 0.5, 0), "strong", None, 7, True, 27, 7,
-     "0-27-34r 1-26-36r 2-12-17r 3-30-35r 4-28-33r 5-14-21r 7-25-32r"),
-    (("five-part", 8, 0.5, 0), "strong", 50, 7, True, 27, 7,
-     "0-27-34r 1-26-36r 2-12-17r 3-30-35r 4-28-33r 5-14-21r 7-25-32r"),
+    (("five-part", 8, 0.5, 0), "weak", None, 7, True, 1, 7,
+     "0-26-34r 1-12-22b 3-8-23b 4-28-33r 5-14-21r 6-13-17b 7-25-32r"),
+    (("five-part", 8, 0.5, 0), "weak", 50, 7, True, 1, 7,
+     "0-26-34r 1-12-22b 3-8-23b 4-28-33r 5-14-21r 6-13-17b 7-25-32r"),
+    (("five-part", 8, 0.5, 0), "strong", None, 7, True, 2, 7,
+     "0-27-34r 1-26-36r 2-12-17r 3-30-38r 4-28-33r 5-14-21r 7-25-32r"),
+    (("five-part", 8, 0.5, 0), "strong", 50, 7, True, 2, 7,
+     "0-27-34r 1-26-36r 2-12-17r 3-30-38r 4-28-33r 5-14-21r 7-25-32r"),
     (("five-part", 8, 0.5, 1), "weak", None, 7, True, 1, 7,
      "0-11-16b 1-8-21b 2-12-19r 3-14-18b 5-15-20b 6-29-34r 7-24-35r"),
     (("five-part", 8, 0.5, 1), "weak", 50, 7, True, 1, 7,
@@ -193,11 +209,25 @@ SEARCH_ORDER_PINS = [
      "2-11-17r 3-26-34r 4-27-32r 6-8-21r 7-13-20r"),
     (("five-part", 8, 0.5, 2), "strong", 50, 5, True, 2, 5,
      "2-11-17r 3-26-34r 4-27-32r 6-8-21r 7-13-20r"),
-    (("five-part", 9, 0.6, 7), "weak", None, 9, True, 54, 9,
-     "0-10-22r 1-12-25r 2-14-20r 3-13-21r 4-28-43b 5-30-41b 6-11-26b 7-16-19b 8-15-24b"),
-    (("traps", 10), "weak", 50, 14, False, 51, 20,
-     "0-1-2r 6-7-8r 12-13-14r 18-19-20r 24-25-26r 30-31-32r 36-39-40r 37-38-41r "
-     "42-45-46r 43-44-47r 48-51-52r 49-50-53r 54-57-58r 55-56-59r"),
+    (("five-part", 9, 0.6, 7), "weak", None, 9, True, 1, 9,
+     "0-32-39r 1-12-25r 2-14-20r 3-13-21r 4-28-43b 5-16-26r 6-10-22r 7-11-19b 8-15-24b"),
+    (("cliques", 10, 4), "weak", 50, 10, False, 51, 13,
+     " ".join(f"{o}-{o + 1}-{o + 2}r" for o in range(0, 40, 4))),
+    # the greedy transversal has a vertex to spare here (9 -> 8 in weak mode
+    # and red, 10 -> 9 for (9, 0.6, 3) weak and red), so only the minimal
+    # one meets the optimum at the root
+    (("five-part", 8, 0.6, 0), "weak", None, 8, True, 1, 8,
+     "0-11-20b 1-8-19b 2-25-34r 3-14-16b 4-13-17r 5-28-32r 6-26-33r 7-9-18r"),
+    (("five-part", 8, 0.6, 0), "strong", None, 8, True, 2, 8,
+     "0-27-32r 1-28-39r 2-25-34r 3-10-19r 4-13-16r 5-8-17r 6-26-33r 7-9-18r"),
+    (("five-part", 9, 0.6, 3), "weak", None, 9, True, 1, 9,
+     "0-10-20r 1-27-38r 2-12-26r 3-33-36b 4-16-18r 5-11-21r 6-14-22r 7-31-37r 8-9-25b"),
+    (("five-part", 9, 0.6, 3), "strong", None, 9, True, 33, 9,
+     "0-10-20r 1-27-38r 2-16-18r 3-9-26r 4-28-41r 5-11-21r 6-32-42r 7-31-37r 8-14-22r"),
+    # a greedy completion below the root reaches the root bound; the search
+    # stops there instead of drawing the 12 nodes still stacked
+    (("five-part", 9, 0.6, 9), "strong", None, 9, True, 9, 9,
+     "0-14-25r 1-17-18r 2-28-36r 3-12-23r 4-27-39r 5-29-43r 6-15-24r 7-13-19r 8-30-38r"),
 ]
 
 
@@ -268,6 +298,31 @@ class TestTransversal:
 
     def test_no_triangles_no_vertices(self):
         assert _transversal([], 0) == 0
+        assert _minimal([], 0, 0) == 0
+
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    @pytest.mark.parametrize(
+        "spec", sorted({row[0] for row in SEARCH_ORDER_PINS}, key=str),
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_root_transversal_is_minimal(self, spec, mode):
+        # the greedy stage is the oracle's greedy; the pass after it keeps a
+        # part of it that still hits every searched triangle and from which
+        # no single vertex can be dropped, and the solver's root bound is
+        # read off that part
+        cg = pinned_instance(spec)
+        triangles, masks = _searches(cg, mode)
+        _, hits = _index(triangles)
+        bounds = []
+        for live in masks:
+            triples = [t.vertices for i, t in enumerate(triangles) if live >> i & 1]
+            greedy = _transversal(hits, live)
+            assert greedy == oracles.greedy_transversal(triples)
+            hitting = _minimal(hits, greedy, live)
+            assert not hitting & ~greedy
+            assert oracles.is_minimal_transversal(triples, hitting)
+            bounds.append(min(_cover(hits, live).bit_count() // 3, hitting.bit_count()))
+        assert max_mono_tiling_exact(cg, mode, budget=0).upper_bound_used == max(bounds)
 
     @pytest.mark.parametrize("n, delta", [(40, 22), (60, 33), (90, 50)])
     def test_extremal_classes_proven_at_budget_1000(self, n, delta):
