@@ -97,16 +97,18 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise VertexOutOfRangeError(f"negative vertex count {n}")
-        adj = [0] * n
-        for u, v in edges:
-            _check_edge(n, u, v)
-            if adj[u] >> v & 1:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        edges = list(edges)
+        columns = _columns(edges, 2)
         self.n = n
-        self._adj = adj
+        self._adj = _edge_by_edge(n, edges) if columns is None else _pair_masks(n, *columns)
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
+
+    @classmethod
+    def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
+        """Graph(n, zip(us, vs)), built from the two endpoint columns."""
+        if n < 0:
+            raise VertexOutOfRangeError(f"negative vertex count {n}")
+        return cls._from_adj(n, _pair_masks(n, us, vs))
 
     @classmethod
     def _from_adj(cls, n: int, adj: list[int]) -> "Graph":
@@ -170,6 +172,75 @@ def _check_edge(n: int, u: int, v: int) -> None:
         raise SelfLoopError(f"self-loop at {u}")
 
 
+# The builders below check an edge list in bulk: the endpoint columns against
+# 0..n-1, then one OR loop, then the degree sum, which a loop or a repeated
+# edge leaves short of 2m.  Any failure replays the list edge by edge, which
+# raises on the first bad edge, so every list gives the same graph or the same
+# error as a per-edge check would.
+
+
+def _zeros(n: int) -> list[int]:
+    """n empty vertex masks; a count too large to allocate is a GraphError."""
+    try:
+        return [0] * n
+    except (MemoryError, OverflowError):
+        raise GraphError(f"vertex count {n} is too large") from None
+
+
+def _columns(rows: Sequence, width: int) -> Optional[tuple[tuple, ...]]:
+    """rows transposed into width columns, or None unless every row has
+    exactly width entries and there is at least one row."""
+    try:
+        columns = tuple(zip(*rows, strict=True))
+    except (TypeError, ValueError):
+        return None
+    return columns if len(columns) == width else None
+
+
+def _in_range(n: int, us: Sequence[int], vs: Sequence[int]) -> bool:
+    try:
+        return 0 <= min(us) and max(us) < n and 0 <= min(vs) and max(vs) < n
+    except (TypeError, ValueError):
+        return False
+
+
+def _endpoints(n: int, us: Sequence[int], vs: Sequence[int]) -> Iterable[int]:
+    """The vertices that can carry an edge of the columns: range(n) when n is
+    at most the number of endpoints, else the set of endpoints, so a pass
+    over them costs O(min(n, m)) and a large edgeless remainder costs none."""
+    return range(n) if n <= 2 * len(us) else {*us, *vs}
+
+
+def _degree_sum(masks: list[int], ends: Iterable[int]) -> int:
+    return sum(map(int.bit_count, map(masks.__getitem__, ends)))
+
+
+def _pair_masks(n: int, us: Sequence[int], vs: Sequence[int]) -> list[int]:
+    if _in_range(n, us, vs):
+        adj = _zeros(n)
+        try:
+            for u, v in zip(us, vs):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        except TypeError:
+            pass
+        else:
+            if _degree_sum(adj, _endpoints(n, us, vs)) == 2 * len(us):
+                return adj
+    return _edge_by_edge(n, zip(us, vs))
+
+
+def _edge_by_edge(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    adj = _zeros(n)
+    for u, v in edges:
+        _check_edge(n, u, v)
+        if adj[u] >> v & 1:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 class ColoredGraph:
     """Graph with a total red/blue edge coloring.
 
@@ -184,6 +255,33 @@ class ColoredGraph:
         self._red = red
         self._blue = blue
         self._colored_edges: Optional[tuple[tuple[int, int, str], ...]] = None
+
+    @classmethod
+    def from_columns(
+        cls, n: int, us: Sequence[int], vs: Sequence[int], colors: Sequence[str]
+    ) -> "ColoredGraph":
+        """build_colored_graph(n, zip(us, vs, colors)), built from the columns."""
+        if colors.count(RED) + colors.count(BLUE) == len(colors) and _in_range(n, us, vs):
+            # adj before red and blue, as in the per-edge builder: on CPython
+            # 3.11 the other order made one edge on 100,000 vertices build
+            # about a third slower
+            adj = _zeros(n)
+            red = _zeros(n)
+            blue = _zeros(n)
+            try:
+                for u, v, color in zip(us, vs, colors):
+                    side = red if color == RED else blue
+                    side[u] |= 1 << v
+                    side[v] |= 1 << u
+            except TypeError:
+                pass
+            else:
+                ends = _endpoints(n, us, vs)
+                for v in ends:
+                    adj[v] = red[v] | blue[v]
+                if _degree_sum(adj, ends) == 2 * len(us):
+                    return cls(Graph._from_adj(n, adj), red, blue)
+        return _colored_edge_by_edge(n, zip(us, vs, colors))
 
     @property
     def n(self) -> int:
@@ -232,9 +330,16 @@ def build_colored_graph(
     Rejects self-loops, duplicate edges (in either order) and colors outside
     {"r", "b"}.
     """
-    adj = [0] * n
-    red = [0] * n
-    blue = [0] * n
+    columns = _columns(edges, 3)
+    if columns is None:
+        return _colored_edge_by_edge(n, edges)
+    return ColoredGraph.from_columns(n, *columns)
+
+
+def _colored_edge_by_edge(n: int, edges: Iterable[tuple[int, int, str]]) -> ColoredGraph:
+    adj = _zeros(n)
+    red = _zeros(n)
+    blue = _zeros(n)
     for u, v, color in edges:
         _check_edge(n, u, v)
         if adj[u] >> v & 1:

@@ -222,7 +222,7 @@ def _pack_exact(
     triangles: list[Triangle], index: _Index, searched: int, budget: Optional[int]
 ) -> tuple[list[Triangle], int, bool, int]:
     verts, hits = index
-    near = [_cover(hits, h & searched) for h in hits]
+    near = None  # built on the first push: most searches close at the root
     hitting = _minimal(hits, _transversal(hits, searched), searched)
 
     def drop(live: int, cover: int, gone: int, touched: int) -> tuple[int, int]:
@@ -260,6 +260,8 @@ def _pack_exact(
         if len(best) == root_bound:
             break
         if len(chosen) + min(cover.bit_count() // 3, (hitting & cover).bit_count()) > len(best):
+            if near is None:
+                near = [_cover(hits, h & searched) for h in hits]
             search.push(children(live, cover, chosen))
     return [triangles[i] for i in best], search.nodes, search.exact, root_bound
 

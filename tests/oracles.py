@@ -34,6 +34,21 @@ def mono_triangles(cg: ColoredGraph) -> list[Triangle]:
     return out
 
 
+def dump_colored(g) -> str:
+    """Instance text of a Graph or ColoredGraph, one f-string per edge: the
+    header `n m`, then `u v` (or `u v c`) for each edge u < v in
+    lexicographic order, found by testing every pair."""
+    colored = isinstance(g, ColoredGraph)
+    graph = g.graph if colored else g
+    edges = [(u, v) for u, v in combinations(range(graph.n), 2) if graph.has_edge(u, v)]
+    lines = [f"{graph.n} {len(edges)}"]
+    if colored:
+        lines.extend(f"{u} {v} {g.color_of(u, v)}" for u, v in edges)
+    else:
+        lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
+
+
 def max_packing_size(triangles: list[Triangle]) -> int:
     """Maximum number of vertex-disjoint triangles from the given list.
 

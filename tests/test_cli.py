@@ -632,9 +632,10 @@ VERIFY = ("verify", "--instance", "{inst}", "--report", "{data}")
 EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
 GENERATE = ("generate", "--seed", "0", "--out", "{out}")
 
-# argv (with {inst}, {empty}, {data}, {out} filled in), JSON written to
+# argv (with {inst}, {empty}, {data}, {out}, {huge} filled in), JSON written to
 # {data}, and a fragment the error message must contain.  {inst} is an
-# all-red triangle and {empty} an instance with no vertices.
+# all-red triangle, {empty} an instance with no vertices and {huge} one whose
+# header asks for 10**15 vertices.
 HOSTILE_INPUTS = [
     pytest.param(VERIFY, {"tiling": [["a", "b", "c", "r"]]}, "invalid tiling", id="verify-string-vertices"),
     pytest.param(VERIFY, {"tiling": [[0, 1, 2.5, "r"]]}, "invalid tiling", id="verify-float-vertex"),
@@ -671,6 +672,9 @@ HOSTILE_INPUTS = [
     pytest.param(GENERATE + ("--random", "--n", "7", "--part-method", "nope", "--density", "0.3"), None, "random instances take no density or part_method", id="generate-random-unread-flags"),
     pytest.param(GENERATE + ("--extremal", "--n", "26", "--delta", "13", "--p-red", "0.5"), None, "extremal instances take no p_red", id="generate-extremal-p-red"),
     pytest.param(GENERATE + ("--five-part", "--m", "4", "--n", "20", "--part-method", "circulant_catalog"), None, "five-part instances take no n or part_method", id="generate-five-part-n-part-method"),
+    pytest.param(("solve", "--instance", "{huge}"), None, "vertex count 1000000000000000 is too large", id="solve-huge-vertex-count"),
+    pytest.param(("verify", "--instance", "{huge}", "--report", "{data}"), {"tiling": []}, "vertex count 1000000000000000 is too large", id="verify-huge-vertex-count"),
+    pytest.param(("theory", "reduce", "--graph", "{huge}"), None, "vertex count 1000000000000000 is too large", id="reduce-huge-vertex-count"),
 ]
 
 
@@ -679,9 +683,12 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
     paths = {
         "inst": tmp_path / "k3.edges", "empty": tmp_path / "empty.edges",
         "data": tmp_path / "data.json", "out": tmp_path / "runs.csv",
+        "huge": tmp_path / "huge.edges",
     }
     paths["inst"].write_text(K3_RED)
     paths["empty"].write_text("0 0\n")
+    # a vertex count whose masks cannot be allocated at all
+    paths["huge"].write_text("1000000000000000 0\n")
     paths["data"].write_text(json.dumps(data))
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from monotile import graphs
 from monotile.graphs import (
     BLUE,
     MIXED,
@@ -147,6 +148,103 @@ class TestGraphBasics:
         assert mask_of([0, 2, 5]) == 0b100101
         assert list(iter_bits(0b100101)) == [0, 2, 5]
         assert list(iter_bits(0)) == []
+
+
+def built(build, n, edges):
+    """What a builder makes of an edge list: the graph's kind, n and edges,
+    or the exception's type name and message."""
+    try:
+        g = build(n, edges)
+    except Exception as exc:  # the tables pin the type, whatever it is
+        return type(exc).__name__, str(exc)
+    if isinstance(g, Graph):
+        return "plain", g.n, g.edges
+    return "colored", g.n, g.colored_edges
+
+
+# Recorded with the per-edge builders, before the bulk checks existed: lists
+# with several defects must still name the first bad edge.
+GRAPH_BUILD_PINS = [
+    pytest.param(3, [(0, 5), (1, 1)], ("VertexOutOfRangeError", "edge (0, 5) outside 0..2"), id="range-then-loop"),
+    pytest.param(3, [(1, 1), (0, 5)], ("SelfLoopError", "self-loop at 1"), id="loop-then-range"),
+    pytest.param(3, [(0, 1), (1, 0), (2, 2)], ("DuplicateEdgeError", "duplicate edge (1, 0)"), id="duplicate-then-loop"),
+    pytest.param(3, [(2, 2), (0, 1), (1, 0)], ("SelfLoopError", "self-loop at 2"), id="loop-then-duplicate"),
+    pytest.param(3, [(-1, 0), (0, 1), (1, 0)], ("VertexOutOfRangeError", "edge (-1, 0) outside 0..2"), id="negative-then-duplicate"),
+    pytest.param(3, [(0, 1), (1, 0), (0, -1)], ("DuplicateEdgeError", "duplicate edge (1, 0)"), id="duplicate-then-negative"),
+    pytest.param(4, [(0, 1), (1, 2), (2, 1), (0, 9)], ("DuplicateEdgeError", "duplicate edge (2, 1)"), id="late-duplicate-then-range"),
+    pytest.param(-1, [(0, 1)], ("VertexOutOfRangeError", "negative vertex count -1"), id="negative-n"),
+    pytest.param(3, [(0, 1), (0, 1, 2)], ("ValueError", "too many values to unpack (expected 2)"), id="three-entries"),
+    pytest.param(3, [(0, 1), (0,)], ("ValueError", "not enough values to unpack (expected 2, got 1)"), id="one-entry"),
+    pytest.param(3, [(0, 1), (0, 1.5)], ("TypeError", "unsupported operand type(s) for >>: 'int' and 'float'"), id="float-vertex"),
+    pytest.param(3, [(0, 1), ("a", 1)], ("TypeError", "'<=' not supported between instances of 'int' and 'str'"), id="string-vertex"),
+    pytest.param(3, [(True, 2)], ("plain", 3, ((1, 2),)), id="bool-vertex"),
+]
+
+COLORED_BUILD_PINS = [
+    pytest.param(3, [(0, 1, "x"), (0, 5, "r")], ("GraphError", "edge color must be 'r' or 'b', got 'x'"), id="color-then-range"),
+    pytest.param(3, [(0, 5, "r"), (0, 1, "x")], ("VertexOutOfRangeError", "edge (0, 5) outside 0..2"), id="range-then-color"),
+    pytest.param(3, [(0, 1, "r"), (1, 0, "x")], ("DuplicateEdgeError", "duplicate edge (1, 0)"), id="duplicate-before-its-color"),
+    pytest.param(3, [(1, 1, "x")], ("SelfLoopError", "self-loop at 1"), id="loop-before-its-color"),
+    pytest.param(3, [(0, 1, "r"), (1, 0, "b"), (2, 2, "r")], ("DuplicateEdgeError", "duplicate edge (1, 0)"), id="duplicate-then-loop"),
+    pytest.param(3, [(2, 2, "r"), (0, 1, "r"), (1, 0, "b")], ("SelfLoopError", "self-loop at 2"), id="loop-then-duplicate"),
+    pytest.param(3, [(0, -1, "r"), (0, 1, "x")], ("VertexOutOfRangeError", "edge (0, -1) outside 0..2"), id="negative-then-color"),
+    pytest.param(3, [(0, 1, None)], ("GraphError", "edge color must be 'r' or 'b', got None"), id="none-color"),
+    pytest.param(3, [(0, 1, ["r"])], ("GraphError", "edge color must be 'r' or 'b', got ['r']"), id="list-color"),
+    pytest.param(3, [(0, 1, "r"), (0, 1)], ("ValueError", "not enough values to unpack (expected 3, got 2)"), id="two-entries"),
+    pytest.param(-1, [(0, 1, "r")], ("VertexOutOfRangeError", "edge (0, 1) outside 0..-2"), id="negative-n"),
+    pytest.param(0, [], ("colored", 0, ()), id="n-zero"),
+    pytest.param(4, [(2, 3, "b"), (1, 0, "r"), (3, 0, "r")], ("colored", 4, ((0, 1, "r"), (0, 3, "r"), (2, 3, "b"))), id="valid"),
+]
+
+
+@pytest.mark.parametrize("n, edges, expected", GRAPH_BUILD_PINS)
+def test_graph_build_pins(n, edges, expected):
+    assert built(Graph, n, edges) == expected
+    if edges and all(len(e) == 2 for e in edges):
+        assert built(lambda n, e: Graph.from_columns(n, *zip(*e)), n, edges) == expected
+
+
+@pytest.mark.parametrize("n, edges, expected", COLORED_BUILD_PINS)
+def test_colored_build_pins(n, edges, expected):
+    assert built(build_colored_graph, n, edges) == expected
+    if edges and all(len(e) == 3 for e in edges):
+        assert built(lambda n, e: ColoredGraph.from_columns(n, *zip(*e)), n, edges) == expected
+
+
+def test_graph_takes_any_iterable():
+    assert Graph(4, ((i, i + 1) for i in range(3))).edges == ((0, 1), (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bulk_builders_agree_with_edge_by_edge(seed):
+    # random edge lists with a few random defects: the builders and the
+    # per-edge loop they fall back to give the same graph or the same error
+    rng = random.Random(seed)
+    n = rng.randrange(1, 12)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(edges) + 1)
+        u = rng.randrange(-1, n + 1)
+        edges.insert(at, rng.choice([(u, u), (u, n), (-1, u), edges[at - 1] if edges else (0, 0)]))
+    colors = [rng.choice((RED, BLUE)) for _ in edges]
+    if colors and rng.random() < 0.3:
+        colors[rng.randrange(len(colors))] = "g"
+    triples = [(u, v, c) for (u, v), c in zip(edges, colors)]
+    def edge_by_edge(n, edges):
+        return Graph._from_adj(n, graphs._edge_by_edge(n, edges))
+
+    assert built(Graph, n, edges) == built(edge_by_edge, n, edges)
+    assert built(build_colored_graph, n, triples) == built(graphs._colored_edge_by_edge, n, triples)
+
+
+def test_huge_vertex_count_is_a_graph_error():
+    # the allocation fails at once for this count; no smaller one is tried
+    with pytest.raises(GraphError, match="vertex count 1000000000000000 is too large"):
+        Graph(10**15)
+    with pytest.raises(GraphError, match="too large"):
+        build_colored_graph(10**20, [(0, 1, RED)])
 
 
 class TestColoredGraph:
