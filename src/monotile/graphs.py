@@ -95,8 +95,6 @@ class Graph:
     __slots__ = ("n", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise VertexOutOfRangeError(f"negative vertex count {n}")
         edges = list(edges)
         columns = _columns(edges, 2)
         self.n = n
@@ -106,8 +104,6 @@ class Graph:
     @classmethod
     def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
         """Graph(n, zip(us, vs)), built from the two endpoint columns."""
-        if n < 0:
-            raise VertexOutOfRangeError(f"negative vertex count {n}")
         return cls._from_adj(n, _pair_masks(n, us, vs))
 
     @classmethod
@@ -152,11 +148,7 @@ class Graph:
         return range(self.n)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._adj == other._adj
-        )
+        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
         return hash((self.n, tuple(self._adj)))
@@ -176,11 +168,15 @@ def _check_edge(n: int, u: int, v: int) -> None:
 # 0..n-1, then one OR loop, then the degree sum, which a loop or a repeated
 # edge leaves short of 2m.  Any failure replays the list edge by edge, which
 # raises on the first bad edge, so every list gives the same graph or the same
-# error as a per-edge check would.
+# error as a per-edge check would.  With n < 0 every list fails the range
+# check, and the replay's first step, _zeros, rejects n.
 
 
 def _zeros(n: int) -> list[int]:
-    """n empty vertex masks; a count too large to allocate is a GraphError."""
+    """n empty vertex masks; a negative count is a VertexOutOfRangeError and
+    one too large to allocate a GraphError."""
+    if n < 0:
+        raise VertexOutOfRangeError(f"negative vertex count {n}")
     try:
         return [0] * n
     except (MemoryError, OverflowError):
@@ -309,9 +305,7 @@ class ColoredGraph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, ColoredGraph)
-            and self.graph == other.graph
-            and self._red == other._red
+            isinstance(other, ColoredGraph) and self.graph == other.graph and self._red == other._red
         )
 
     def __hash__(self):
@@ -322,9 +316,7 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, red={nred}, blue={self.graph.num_edges - nred})"
 
 
-def build_colored_graph(
-    n: int, edges: Sequence[tuple[int, int, str]]
-) -> ColoredGraph:
+def build_colored_graph(n: int, edges: Sequence[tuple[int, int, str]]) -> ColoredGraph:
     """Build a ColoredGraph from (u, v, color) triples.
 
     Rejects self-loops, duplicate edges (in either order) and colors outside
@@ -390,11 +382,8 @@ class Triangle:
 
 
 def _scanned_triangle(vertices: tuple[int, int, int], color: str) -> Triangle:
-    """Triangle record built without __post_init__, for scan_mono_triangles.
-
-    The scan emits sorted, distinct vertices and a RED or BLUE color, so the
-    public constructor's re-sort and checks would only repeat its work.
-    """
+    """Triangle record built without __post_init__, for scan_mono_triangles: the scan
+    emits sorted, distinct vertices and a RED or BLUE color, which the checks repeat."""
     tri = object.__new__(Triangle)
     object.__setattr__(tri, "vertices", vertices)
     object.__setattr__(tri, "color", color)
@@ -445,16 +434,13 @@ def triangle_in(cg: ColoredGraph, a: int, b: int, c: int) -> Triangle:
     return Triangle((a, b, c), color)
 
 
-def scan_mono_triangles(
+def scan_mono_pairs(
     cg: ColoredGraph, live: Optional[int] = None
-) -> Iterator[Triangle]:
-    """Monochromatic triangles in canonical (lexicographic) order.
-
-    live restricts the scan to an induced vertex subset given as a bitmask.
-    For each anchor u, the higher neighbours v come in ascending order and
-    the color of uv picks the class in which to close u, v, w with w > v, so
-    the output is lexicographic without sorting.
-    """
+) -> Iterator[tuple[int, int, str, int]]:
+    """The triangle scan by edge: (u, v, color, closing) for each edge uv,
+    u < v, in lexicographic order, with closing the mask of the w > v that
+    make u, v, w a triangle of uv's color; edges closing none are skipped.
+    live restricts the scan to an induced vertex subset given as a bitmask."""
     if live is None:
         live = (1 << cg.n) - 1
     red = cg._red
@@ -468,13 +454,19 @@ def scan_mono_triangles(
                 common, color = red_u & red[v], RED
             else:
                 common, color = blue_u & blue[v], BLUE
-            for w in iter_bits(common >> (v + 1)):
-                yield _scanned_triangle((u, v, v + 1 + w), color)
+            closing = common >> (v + 1) << (v + 1)
+            if closing:
+                yield u, v, color, closing
 
 
-def enumerate_mono_triangles(
-    cg: ColoredGraph, limit: Optional[int] = None
-) -> list[Triangle]:
+def scan_mono_triangles(cg: ColoredGraph, live: Optional[int] = None) -> Iterator[Triangle]:
+    """The monochromatic triangles within live in canonical order: scan_mono_pairs expanded."""
+    for u, v, color, closing in scan_mono_pairs(cg, live):
+        for w in iter_bits(closing):
+            yield _scanned_triangle((u, v, w), color)
+
+
+def enumerate_mono_triangles(cg: ColoredGraph, limit: Optional[int] = None) -> list[Triangle]:
     """All (or the first limit) monochromatic triangles, canonical order."""
     return list(islice(scan_mono_triangles(cg), limit))
 

@@ -4,26 +4,22 @@ The exact solver is a branch-and-bound over the monochromatic-triangle
 hypergraph.  At every node it branches on the lexicographically first vertex
 still covered by some live triangle (cover it with one of its triangles, or
 discard it), keeps the better of its incumbent and a greedy completion, and
-prunes with the smaller of two bounds on the triangles still to come.  The
-first is floor(|cover|/3).  The second comes from one hitting set T of the
-triangles, taken once at the root: a greedy one (the vertex on the most
-triangles first), then made minimal by dropping each of its vertices,
-highest first, when the rest still hits every triangle.  Vertex-disjoint
-triangles need distinct vertices of any hitting set, so nu <= tau (Tuza
-1981, Haxell 1999).  Below the root the bound is |T & cover|: a triangle
-live at a node was live at the root, so it holds a vertex of T, and that
-vertex still has a live triangle, so it is in the node's cover.
+prunes with the smaller of two bounds on the triangles still to come:
+floor(|cover|/3), and |T & cover| for one hitting set T of the triangles,
+taken at the root greedily (the vertex on the most triangles first) and made
+minimal (each vertex dropped, highest first, when the rest still hits every
+triangle).  Vertex-disjoint triangles need distinct vertices of a hitting
+set, so nu <= tau (Tuza 1981, Haxell 1999); a triangle live at a node was
+live at the root, so it holds a vertex of T that is still in the cover.
 
-The incumbent starts as the heuristic's tiling of the same triangles (with
-the heuristic's default kicks and seed), not as the empty tiling, and the
-search stops as soon as the incumbent reaches the root bound, with the
-tiling proven optimal.  On the certified extremal instances and on most
-five-part blow-ups that happens at the root.  A larger starting incumbent
-only prunes more, so no search returns a smaller tiling at equal budget.
-Everything is deterministic; the search runs on `graphs.DepthFirst`, which
-draws each node's children lazily and counts expansions against the budget,
-so a budget of 0 expands nothing and reports exact=False even when the
-incumbent meets the root bound.
+The incumbent starts as the heuristic's tiling of the same triangles (its
+default kicks and seed), and the search stops, proven, once the incumbent
+reaches the root bound: at the root on the certified extremal instances and
+most five-part blow-ups.  A larger start only prunes more, so no search
+returns a smaller tiling at equal budget.  The search runs on
+`graphs.DepthFirst`, which draws children lazily and counts expansions
+against the budget, so a budget of 0 expands nothing and reports
+exact=False even when the incumbent meets the root bound.
 
 The search state is bit-parallel, as in BBMC (San Segundo et al., Comput.
 Oper. Res. 2011): live is a bitset over triangle ids, hits[v] holds the ids
@@ -31,26 +27,24 @@ of the triangles through vertex v and near[v] the vertices of those
 triangles, and cover is the set of vertices that still have a live triangle.
 Covering abc removes hits[a] | hits[b] | hits[c] from live, discarding v
 removes hits[v], and only the cover vertices in the near masks of the removed
-vertices are rechecked, so a node costs the work that changed rather than the
-number of triangles.
+vertices are rechecked, so a node costs the work that changed.
 
 The heuristic reads the same index and greedy completion; its (1,2)-swap is
 the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
-as a search over live ids.  It stops once its tiling reaches an upper
-bound on every tiling of its mask: floor(|cover|/3) in heuristic_tiling, the
-root bound when it seeds the exact search.  No larger tiling exists, so
-stopping changes no result; a first greedy tiling that already reaches the
-bound is returned untouched.
+over live ids.  It stops once its tiling reaches an upper bound on every
+tiling of its mask (floor(|cover|/3) in heuristic_tiling, the root bound as
+the exact search's seed), so stopping changes no result.
 
-A solve enumerates the monochromatic triangles once and builds one index
-over them; each search is a mask of triangle ids over that index.  Weak and
-strong tilings differ only in the masks searched.  A weak exact search takes
-every id; a strong search takes the red ids, then the blue ones; the weak
-heuristic searches all, then red, then blue, since every strong tiling is
-also a weak one.  A colour mask keeps its ids in the order of the full list,
-and every choice depends only on that order, so a search over a mask makes
-the choices a search over the colour's own list would.  The largest result
-wins and the first searched wins ties, so strong mode keeps red on ties.
+A solve builds one index of the monochromatic triangles, straight from the
+edge-by-edge scan graphs.scan_mono_pairs and with ids in its canonical
+order; no Triangle record is made for it.  Each search is a mask of ids.  A
+weak exact search takes every id; a strong search the red ids, then the
+blue ones; the weak heuristic all, then red, then blue, since every strong
+tiling is also a weak one.  Every choice depends only on the id order, so a
+search over a colour mask makes the choices a search over the colour's own
+list would.  The largest result wins and the first searched wins ties, so
+strong mode keeps red on ties.  Triangle records are made only for the
+winning ids, and verify_tiling rechecks that tiling in full.
 """
 
 from __future__ import annotations
@@ -63,6 +57,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
 from .graphs import (
+    BLUE,
     MIXED,
     MODES,
     RED,
@@ -72,9 +67,10 @@ from .graphs import (
     DepthFirst,
     Tiling,
     Triangle,
-    enumerate_mono_triangles,
+    enumerate_mono_triangles,  # unused here: perfbench/spans.py hooks this name
     first_mono_triangle,
     iter_bits,
+    scan_mono_pairs,
     triangle_color,
 )
 from .rationals import as_fraction, rational_json
@@ -106,38 +102,67 @@ def max_mono_tiling_exact(
     |T|) with T the minimal hitting set, taken before any node is expanded
     (the larger of the two colours' in strong mode).
     """
-    triangles, searches = _searches(cg, mode)
-    index = _index(triangles)
-    chosen, nodes, exact, bound = zip(
-        *(_pack_exact(triangles, index, live, budget) for live in searches)
-    )
-    tiling = _checked_tiling(cg, max(chosen, key=len), mode)
+    index, searches = _searches(cg, mode)
+    chosen, nodes, exact, bound = zip(*(_pack_exact(index, live, budget) for live in searches))
+    tiling = _checked_tiling(cg, _records(index, max(chosen, key=len)), mode)
     return SolveResult(tiling, all(exact), sum(nodes), max(bound))
 
 
-def _searches(
-    cg: ColoredGraph, mode: str, heuristic: bool = False
-) -> tuple[list[Triangle], list[int]]:
-    """Every monochromatic triangle of cg, and the id masks over that list
-    that a solve in mode searches, in tie-break order."""
+def _searches(cg: ColoredGraph, mode: str, heuristic: bool = False) -> tuple[_Index, list[int]]:
+    """The index of every monochromatic triangle of cg, and the id masks
+    over it that a solve in mode searches, in tie-break order."""
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
-    triangles = enumerate_mono_triangles(cg)
-    every = (1 << len(triangles)) - 1
+    index = verts, _, red, _ = _index(cg)
+    every = (1 << len(verts)) - 1
     if mode == WEAK and not heuristic:
-        return triangles, [every]
-    red = _bits((i for i, t in enumerate(triangles) if t.color == RED), len(triangles))
-    blue = every ^ red
-    return triangles, [red, blue] if mode == STRONG else [every, red, blue]
+        return index, [every]
+    return index, [red, every ^ red] if mode == STRONG else [every, red, every ^ red]
 
 
-def _bits(ids: Iterable[int], size: int) -> int:
-    """The bitset of ids, all below size, built in time linear in size (OR-ing
-    1 << i into a growing int would cost time quadratic in size)."""
+# A solve's triangles: vertex triples by id, per vertex the bitset of the ids
+# through it, the bitset of the red ids, and per vertex its neighbour mask.
+_Index = tuple[list[tuple[int, int, int]], list[int], int, list[int]]
+
+
+def _index(cg: ColoredGraph) -> _Index:
+    """The index, read off graphs.scan_mono_pairs: the ids of the triangles
+    u, v, w of one pair are a run, in the scan's canonical order, so u, v
+    and the pair's colour take the run whole and only w takes each id."""
+    verts: list[tuple[int, int, int]] = []
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(cg.n)]
+    thirds: list[list[int]] = [[] for _ in range(cg.n)]
+    reds = []
+    for u, v, color, closing in scan_mono_pairs(cg):
+        start = len(verts)
+        for w in iter_bits(closing):
+            thirds[w].append(len(verts))
+            verts.append((u, v, w))
+        run = (start, len(verts))
+        runs[u].append(run)
+        runs[v].append(run)
+        if color == RED:
+            reds.append(run)
+    size = len(verts)
+    hits = [_bits(size, r, t) for r, t in zip(runs, thirds)]
+    return verts, hits, _bits(size, reds), list(map(cg.graph.neighbors_mask, range(cg.n)))
+
+
+def _bits(size: int, runs: Iterable[tuple[int, int]], ids: Iterable[int] = ()) -> int:
+    """The bitset of the ids in the runs [start, stop) and in ids, all below size, built in
+    time linear in size (OR-ing 1 << i into a growing int would cost time quadratic in size)."""
     row = bytearray(b"0") * size
+    for start, stop in runs:  # bit i is the i-th digit from the right
+        row[size - stop : size - start] = b"1" * (stop - start)
     for i in ids:
-        row[~i] = 49  # ord("1"): bit i is the i-th digit from the right
+        row[~i] = 49  # ord("1")
     return int(row, 2) if size else 0
+
+
+def _records(index: _Index, ids: Iterable[int]) -> list[Triangle]:
+    """One Triangle record per id; searches carry ids, so only answers become records."""
+    verts, _, red, _ = index
+    return [Triangle(verts[i], RED if red >> i & 1 else BLUE) for i in ids]
 
 
 def _checked_tiling(cg: ColoredGraph, chosen: Sequence[Triangle], mode: str) -> Tiling:
@@ -146,22 +171,6 @@ def _checked_tiling(cg: ColoredGraph, chosen: Sequence[Triangle], mode: str) -> 
     if not verify_tiling(cg, tiling):
         raise AssertionError(f"search produced an invalid {mode} tiling")
     return tiling
-
-
-_Index = tuple[list[tuple[int, int, int]], list[int]]
-
-
-def _index(triangles: Sequence[Triangle]) -> _Index:
-    """Vertex triples by triangle id, and per vertex its hits: the bitset of
-    the ids of its triangles."""
-    verts = [t.vertices for t in triangles]
-    n = 1 + max((c for _, _, c in verts), default=-1)
-    ids: list[list[int]] = [[] for _ in range(n)]
-    for i, (a, b, c) in enumerate(verts):
-        ids[a].append(i)
-        ids[b].append(i)
-        ids[c].append(i)
-    return verts, [_bits(row, len(verts)) for row in ids]
 
 
 def _cover(hits: list[int], live: int) -> int:
@@ -218,10 +227,25 @@ def _minimal(hits: list[int], taken: int, live: int) -> int:
     return taken
 
 
+def _near(index: _Index, searched: int) -> list[int]:
+    """Per vertex v, the vertices on a triangle of searched through v.  Two
+    vertices on one triangle are adjacent, so only edges are tested, each
+    once."""
+    _, hits, _, adj = index
+    live = [h & searched for h in hits]
+    near = [1 << v if h else 0 for v, h in enumerate(live)]
+    for v, h in enumerate(live):
+        for u in iter_bits(adj[v] >> (v + 1) << (v + 1) if h else 0):
+            if h & live[u]:
+                near[v] |= 1 << u
+                near[u] |= 1 << v
+    return near
+
+
 def _pack_exact(
-    triangles: list[Triangle], index: _Index, searched: int, budget: Optional[int]
-) -> tuple[list[Triangle], int, bool, int]:
-    verts, hits = index
+    index: _Index, searched: int, budget: Optional[int]
+) -> tuple[list[int], int, bool, int]:
+    verts, hits, _, _ = index
     near = None  # built on the first push: most searches close at the root
     hitting = _minimal(hits, _transversal(hits, searched), searched)
 
@@ -261,9 +285,9 @@ def _pack_exact(
             break
         if len(chosen) + min(cover.bit_count() // 3, (hitting & cover).bit_count()) > len(best):
             if near is None:
-                near = [_cover(hits, h & searched) for h in hits]
+                near = _near(index, searched)
             search.push(children(live, cover, chosen))
-    return [triangles[i] for i in best], search.nodes, search.exact, root_bound
+    return best, search.nodes, search.exact, root_bound
 
 
 def heuristic_tiling(
@@ -280,23 +304,20 @@ def heuristic_tiling(
     searches each color class alone (see the module docstring), so its size
     never trails strong mode's.
     """
-    triangles, searches = _searches(cg, mode, heuristic=True)
-    index = _index(triangles)
-    _, hits = index
+    index, searches = _searches(cg, mode, heuristic=True)
+    _, hits, _, _ = index
     found = (
         _local_search(index, live, iters, seed, _cover(hits, live).bit_count() // 3)
         for live in searches
     )
-    return _checked_tiling(cg, [triangles[i] for i in max(found, key=len)], mode)
+    return _checked_tiling(cg, _records(index, max(found, key=len)), mode)
 
 
-def _local_search(
-    index: _Index, searched: int, iters: int, seed: int, most: int
-) -> list[int]:
+def _local_search(index: _Index, searched: int, iters: int, seed: int, most: int) -> list[int]:
     """The heuristic's tiling of the searched ids, as ids (see heuristic_tiling).
     most bounds every tiling of searched from above; the search stops once
     its tiling reaches it."""
-    verts, hits = index
+    verts, hits, _, _ = index
     rng = random.Random(seed)
 
     def free(sel: list[int]) -> int:
@@ -370,15 +391,11 @@ def verify_tiling(cg: ColoredGraph, tiling: Tiling) -> bool:
     colors = set()
     for tri in tiling.triangles:
         color = triangle_color(cg, *tri.vertices)
-        if color is None or color == MIXED or tri.color != color:
-            return False
-        if tri.mask & used:
+        if color is None or color == MIXED or tri.color != color or tri.mask & used:
             return False
         used |= tri.mask
         colors.add(tri.color)
-    if tiling.mode == STRONG and len(colors) > 1:
-        return False
-    return True
+    return tiling.mode == WEAK or len(colors) <= 1
 
 
 @dataclass(frozen=True)
@@ -418,9 +435,7 @@ def peel_to_three_fifths(cg: ColoredGraph) -> PeelResult:
         if order == 0:
             reason, mindeg, window = "no_mono_triangle", None, None
             break
-        mindeg = min(
-            (cg.graph.neighbors_mask(v) & live).bit_count() for v in iter_bits(live)
-        )
+        mindeg = min((cg.graph.neighbors_mask(v) & live).bit_count() for v in iter_bits(live))
         if 5 * mindeg < 3 * order:
             reason = "min_degree"
             window = 5 * mindeg >= 3 * order - 15
@@ -509,14 +524,7 @@ def bound_table(n: int, delta: int, gamma=0) -> BoundReport:
     else:
         bft = Fraction((2 * delta - n) // 3)
 
-    return BoundReport(
-        n=n,
-        delta=delta,
-        gamma=g,
-        thm3_lower=thm3,
-        remarkA_upper=remark,
-        bft_weak=bft,
-    )
+    return BoundReport(n, delta, g, thm3, remark, bft)
 
 
 def solve_report(cg: ColoredGraph, result: SolveResult, gamma=0) -> dict:

@@ -755,7 +755,7 @@ def test_zero_budget_stays_valid(tmp_path, capsys):
 def test_deep_instance_solves_without_traceback(tmp_path, capsys, monkeypatch):
     # 1,100 disjoint red K4s: no root bound closes the search, which goes
     # more than 1,000 levels deep, past the interpreter's default recursion
-    # limit (4–5 s on a shared 2-vCPU VM).
+    # limit (about 1 s on a shared 2-vCPU VM).
     depths = []
 
     class Deepest(solver.DepthFirst):

@@ -146,7 +146,7 @@ READER_TABLE = [
     pytest.param("3 1\n0 -2\n", ("FormatError", "edge (0, -2) outside 0..2"), id="negative-vertex-plain"),
     pytest.param("3 1\n0 3 r\n", ("FormatError", "edge (0, 3) outside 0..2"), id="out-of-range-colored"),
     pytest.param("3 1\n0 7\n", ("FormatError", "edge (0, 7) outside 0..2"), id="out-of-range-plain"),
-    pytest.param("-1 1\n0 1 r\n", ("FormatError", "edge (0, 1) outside 0..-2"), id="negative-n-colored"),
+    pytest.param("-1 1\n0 1 r\n", ("FormatError", "negative vertex count -1"), id="negative-n-colored"),
     pytest.param("-1 1\n0 1\n", ("FormatError", "negative vertex count -1"), id="negative-n-plain"),
     pytest.param("-1 0\n", ("VertexOutOfRangeError", "negative vertex count -1"), id="negative-n-no-edges"),
     pytest.param("3 1\n1 1 r\n", ("FormatError", "self-loop at 1"), id="self-loop-colored"),

@@ -29,6 +29,7 @@ from monotile.graphs import (
     iter_bits,
     mask_of,
     mono_triangle_witness,
+    scan_mono_pairs,
     scan_mono_triangles,
     triangle_color,
     triangle_in,
@@ -191,7 +192,8 @@ COLORED_BUILD_PINS = [
     pytest.param(3, [(0, 1, None)], ("GraphError", "edge color must be 'r' or 'b', got None"), id="none-color"),
     pytest.param(3, [(0, 1, ["r"])], ("GraphError", "edge color must be 'r' or 'b', got ['r']"), id="list-color"),
     pytest.param(3, [(0, 1, "r"), (0, 1)], ("ValueError", "not enough values to unpack (expected 3, got 2)"), id="two-entries"),
-    pytest.param(-1, [(0, 1, "r")], ("VertexOutOfRangeError", "edge (0, 1) outside 0..-2"), id="negative-n"),
+    pytest.param(-1, [(0, 1, "r")], ("VertexOutOfRangeError", "negative vertex count -1"), id="negative-n"),
+    pytest.param(-1, [], ("VertexOutOfRangeError", "negative vertex count -1"), id="negative-n-no-edges"),
     pytest.param(0, [], ("colored", 0, ()), id="n-zero"),
     pytest.param(4, [(2, 3, "b"), (1, 0, "r"), (3, 0, "r")], ("colored", 4, ((0, 1, "r"), (0, 3, "r"), (2, 3, "b"))), id="valid"),
 ]
@@ -207,8 +209,9 @@ def test_graph_build_pins(n, edges, expected):
 @pytest.mark.parametrize("n, edges, expected", COLORED_BUILD_PINS)
 def test_colored_build_pins(n, edges, expected):
     assert built(build_colored_graph, n, edges) == expected
-    if edges and all(len(e) == 3 for e in edges):
-        assert built(lambda n, e: ColoredGraph.from_columns(n, *zip(*e)), n, edges) == expected
+    if all(len(e) == 3 for e in edges):
+        columns = list(zip(*edges)) or [[], [], []]
+        assert built(lambda n, _: ColoredGraph.from_columns(n, *columns), n, edges) == expected
 
 
 def test_graph_takes_any_iterable():
@@ -401,6 +404,27 @@ class TestMonoTriangleScan:
                 inside = [t for t in oracles.mono_triangles(cg) if t.mask & live == t.mask]
                 assert list(scan_mono_triangles(cg, live)) == inside
                 assert first_mono_triangle(cg, live) == (inside[0] if inside else None)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pair_scan_expands_to_the_triangles(self, seed):
+        # one tuple per edge uv that closes a triangle, u < v in
+        # lexicographic order, each expanding to the triangles u, v, w
+        cg = random_colored(8, 0.7, 0.5, seed)
+        rng = random.Random(seed)
+        for live in [None] + [rng.getrandbits(cg.n) for _ in range(20)]:
+            pairs = list(scan_mono_pairs(cg, live))
+            assert all(closing >> (v + 1) << (v + 1) == closing != 0 for _, v, _, closing in pairs)
+            assert [(u, v) for u, v, _, _ in pairs] == sorted({(u, v) for u, v, _, _ in pairs})
+            expanded = [
+                Triangle((u, v, w), color)
+                for u, v, color, closing in pairs
+                for w in iter_bits(closing)
+            ]
+            inside = [
+                t for t in oracles.mono_triangles(cg)
+                if live is None or t.mask & live == t.mask
+            ]
+            assert expanded == inside
 
     def test_live_mask_restricts_scan(self):
         cg = build_colored_graph(

@@ -22,11 +22,12 @@ from monotile.graphs import (
     Triangle,
     build_colored_graph,
 )
-from monotile import solver
+from monotile import graphs, solver
 from monotile.solver import (
     _cover,
     _index,
     _minimal,
+    _near,
     _searches,
     _transversal,
     bound_table,
@@ -286,8 +287,9 @@ class TestTransversal:
     def test_hits_every_triangle_and_bounds_the_packing(self, seed):
         # one index over every triangle, searched under the weak, red and
         # blue masks, as the solver searches it
-        triangles, masks = _searches(random_colored(11, 0.7, 0.5, seed), WEAK, heuristic=True)
-        _, hits = _index(triangles)
+        cg = random_colored(11, 0.7, 0.5, seed)
+        (_, hits, _, _), masks = _searches(cg, WEAK, heuristic=True)
+        triangles = oracles.mono_triangles(cg)
         for live in masks:
             searched = [t for i, t in enumerate(triangles) if live >> i & 1]
             hitting = _transversal(hits, live)
@@ -311,11 +313,10 @@ class TestTransversal:
         # no single vertex can be dropped, and the solver's root bound is
         # read off that part
         cg = pinned_instance(spec)
-        triangles, masks = _searches(cg, mode)
-        _, hits = _index(triangles)
+        (verts, hits, _, _), masks = _searches(cg, mode)
         bounds = []
         for live in masks:
-            triples = [t.vertices for i, t in enumerate(triangles) if live >> i & 1]
+            triples = [t for i, t in enumerate(verts) if live >> i & 1]
             greedy = _transversal(hits, live)
             assert greedy == oracles.greedy_transversal(triples)
             hitting = _minimal(hits, greedy, live)
@@ -340,27 +341,34 @@ class TestIndex:
     def test_matches_a_per_triangle_build(self, seed):
         cg = random_colored(4 + seed, 0.8, 0.5, seed)
         triangles = oracles.mono_triangles(cg)
-        n = 1 + max((t.vertices[2] for t in triangles), default=-1)
-        hits, near, cover = [0] * n, [0] * n, 0
+        hits, near, cover = [0] * cg.n, [0] * cg.n, 0
         for i, t in enumerate(triangles):
             cover |= t.mask
             for v in t.vertices:
                 hits[v] |= 1 << i
                 near[v] |= t.mask
-        verts, got_hits = _index(triangles)
+        index = verts, got_hits, red, adj = _index(cg)
         assert verts == [t.vertices for t in triangles]
         assert got_hits == hits
+        assert [red >> i & 1 for i in range(len(triangles))] == [
+            t.color == RED for t in triangles
+        ]
+        assert adj == [cg.graph.neighbors_mask(v) for v in range(cg.n)]
+        every = (1 << len(triangles)) - 1
         # the exact search's near masks, built from hits alone
         assert [_cover(got_hits, h) for h in got_hits] == near
-        assert _cover(got_hits, (1 << len(triangles)) - 1) == cover
+        assert _near(index, every) == near
+        assert _cover(got_hits, every) == cover
 
     def test_no_triangles(self):
-        assert _index([]) == ([], [])
+        assert _index(build_colored_graph(0, [])) == ([], [], 0, [])
+        assert _index(build_colored_graph(3, [(0, 1, RED)])) == ([], [0, 0, 0], 0, [2, 1, 0])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_colour_masks_partition_every_triangle(self, seed):
         cg = random_colored(10, 0.8, 0.5, seed)
-        triangles, (every,) = _searches(cg, WEAK)
+        triangles = oracles.mono_triangles(cg)
+        _, (every,) = _searches(cg, WEAK)
         assert every == (1 << len(triangles)) - 1
         assert _searches(cg, STRONG)[1] == _searches(cg, WEAK, heuristic=True)[1][1:]
         red, blue = _searches(cg, STRONG)[1]
@@ -370,14 +378,51 @@ class TestIndex:
         ]
 
     @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    @pytest.mark.parametrize(
+        "spec", sorted({row[0] for row in SEARCH_ORDER_PINS}, key=str),
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_near_from_neighbours_matches_the_full_build(self, spec, mode):
+        # near[v] tests only v and its neighbours; the full build tests
+        # every vertex
+        index, masks = _searches(pinned_instance(spec), mode)
+        _, hits, _, _ = index
+        for live in masks:
+            assert _near(index, live) == [_cover(hits, h & live) for h in hits]
+
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
     def test_one_index_per_solve(self, mode, monkeypatch):
         built = []
-        monkeypatch.setattr(solver, "_index", lambda ts: built.append(ts) or _index(ts))
+        monkeypatch.setattr(solver, "_index", lambda cg: built.append(cg) or _index(cg))
         cg = random_colored(12, 0.8, 0.5, seed=1)
         max_mono_tiling_exact(cg, mode)
         assert len(built) == 1
         heuristic_tiling(cg, mode, iters=4)
         assert len(built) == 2
+
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda cg, mode: max_mono_tiling_exact(cg, mode).tiling, heuristic_tiling],
+        ids=["exact", "heuristic"],
+    )
+    def test_records_built_only_for_the_answer(self, solve, mode, monkeypatch):
+        # the searches carry ids; a Triangle is made for each returned
+        # triangle, whether by the public constructor or by the scan
+        built = []
+        post_init = Triangle.__post_init__
+        scanned = graphs._scanned_triangle
+
+        def counting(tri):
+            built.append(tri)
+            post_init(tri)
+
+        monkeypatch.setattr(Triangle, "__post_init__", counting)
+        monkeypatch.setattr(graphs, "_scanned_triangle", lambda *a: built.append(a) or scanned(*a))
+        cg = five_part_instance(8, 0.5, 0.5, 0).colored_graph
+        tiling = solve(cg, mode)
+        assert tiling.size == 7
+        assert len(built) == tiling.size
 
 
 class TestHeuristic:
