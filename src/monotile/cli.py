@@ -32,6 +32,8 @@ from .graphio import dump_colored_graph, load_colored_graph, load_graph
 from .graphs import MODES, WEAK, ColoredGraph, Tiling, Triangle
 from .rationals import as_fraction, rational_json
 from .solver import (
+    HEURISTIC_ITERS,
+    HEURISTIC_SEED,
     SolveResult,
     bound_table,
     heuristic_tiling,
@@ -196,8 +198,8 @@ def build_parser() -> _Parser:
     )
     style.add_argument("--heuristic", dest="method", action="store_const", const="heuristic")
     sol.add_argument("--budget", type=_non_negative_int)
-    sol.add_argument("--iters", type=_non_negative_int, default=32)
-    sol.add_argument("--seed", type=int, default=0)
+    sol.add_argument("--iters", type=_non_negative_int)
+    sol.add_argument("--seed", type=int)
     sol.add_argument("--gamma", type=_gamma, default=Fraction(0))
     sol.add_argument("--out")
 
@@ -351,9 +353,19 @@ def _solve(
     return report
 
 
+# the solve flags that only one method reads
+_SOLVE_UNREAD = {"exact": ("iters", "seed"), "heuristic": ("budget",)}
+
+
 def _cmd_solve(args) -> int:
+    unread = [f"--{key}" for key in _SOLVE_UNREAD[args.method] if getattr(args, key) is not None]
+    if unread:
+        raise UsageError(f"solve --{args.method} takes no {' or '.join(unread)}")
     cg = load_colored_graph(Path(args.instance).read_text())
-    heuristic = (args.iters, args.seed) if args.method == "heuristic" else None
+    heuristic = None
+    if args.method == "heuristic":
+        heuristic = (HEURISTIC_ITERS if args.iters is None else args.iters,
+                     HEURISTIC_SEED if args.seed is None else args.seed)
     report = _solve(cg, args.mode, args.gamma, args.budget, heuristic)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -4,22 +4,26 @@ Line 1 is `n m`, then m edge lines: `u v` for uncolored graphs, `u v c` with
 c in {r, b} for colored ones.  `#` starts a comment line.  Writers emit edges
 in canonical order (u < v, lexicographically sorted).
 
-The reader works on whole columns.  Its bulk pass splits every line, checks
-that the header has two fields and every edge line the same two or three,
-transposes the edge lines into columns, converts each distinct vertex token
-with one int() call and checks the colour column by counting, then hands the
-columns to the graph builders, which check ranges, loops and repeats in bulk.
-A file with a comment, a blank line or any defect is refused by the bulk pass
-and read again line by line, so every text gives the same graph, or the same
-error naming the same line or edge, as a line-by-line reader alone.  The
-writers emit one row per vertex: the vertex's label, then its higher
-neighbours picked from precomputed labels by the bits of its mask.
+The reader works on whole columns.  Its bulk pass takes the split lines,
+checks that the header has two fields and every edge line the same two or
+three, transposes the edge lines into columns, converts each distinct vertex
+token with one int() call and checks the colour column by counting, then
+hands the columns to the graph builders, which check ranges, loops and
+repeats in bulk.  A file with a comment, a blank line or any defect is
+refused by the bulk pass and checked again line by line, which skips
+comments and blank lines, names the line of the first defect, and hands the
+checked lines back to the bulk pass, so every text gives the same graph, or
+the same error naming the same line or edge, as a line-by-line reader alone.
+Both writers share one row writer, which emits one row per vertex: the
+vertex's label, then the tails of its higher neighbours (label, and colour
+for a coloured graph) picked by the bits of its masks.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import getitem
+from typing import Callable
 
 from .graphs import BLUE, RED, ColoredGraph, Graph, build_colored_graph, iter_bits
 
@@ -36,30 +40,22 @@ class FormatError(ValueError):
 
 
 def dump_graph(g: Graph) -> str:
-    labels = list(map(str, range(g.n)))
+    return _dump(g, [(str(v),) for v in range(g.n)], lambda u: 0)
+
+
+def dump_colored_graph(cg: ColoredGraph) -> str:
+    return _dump(cg.graph, [(f"{v} {BLUE}", f"{v} {RED}") for v in range(cg.n)], cg.red_mask)
+
+
+def _dump(g: Graph, tails: list[tuple[str, ...]], red_mask: Callable[[int], int]) -> str:
+    """The rows of g's edges: the tail of the edge uv, u < v, is tails[v][1]
+    when bit v of red_mask(u) is set, else tails[v][0]."""
     lines = [f"{g.n} {g.num_edges}"]
     for u in range(g.n):
         above = g.neighbors_mask(u) >> (u + 1)
         if not above:
             continue
-        width = above.bit_length()
-        if width > _SPARSE_ROW * above.bit_count():
-            row = map(labels.__getitem__, iter_bits(above << (u + 1)))
-        else:
-            row = compress(labels[u + 1 : u + 1 + width], _flags(above, width))
-        lines.append(_row(labels[u], row))
-    return "\n".join(lines) + "\n"
-
-
-def dump_colored_graph(cg: ColoredGraph) -> str:
-    # the tail of an edge to v: tails[v][0] when the edge is blue, [1] when red
-    tails = [(f"{v} {BLUE}", f"{v} {RED}") for v in range(cg.n)]
-    lines = [f"{cg.n} {cg.graph.num_edges}"]
-    for u in range(cg.n):
-        above = cg.graph.neighbors_mask(u) >> (u + 1)
-        if not above:
-            continue
-        red = cg.red_mask(u)
+        red = red_mask(u)
         width = above.bit_length()
         if width > _SPARSE_ROW * above.bit_count():
             row = (tails[v][red >> v & 1] for v in iter_bits(above << (u + 1)))
@@ -67,7 +63,8 @@ def dump_colored_graph(cg: ColoredGraph) -> str:
             picked = _flags(above, width)
             is_red = compress(_flags(red >> (u + 1), width), picked)
             row = map(getitem, compress(tails[u + 1 : u + 1 + width], picked), is_red)
-        lines.append(_row(str(u), row))
+        head = f"{u} "
+        lines.append(head + ("\n" + head).join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -76,23 +73,16 @@ def _flags(mask: int, width: int) -> bytes:
     return bin(mask | 1 << width)[:2:-1].encode().translate(_BITS)
 
 
-def _row(label: str, tails) -> str:
-    """The edge lines of one vertex: its label and a space before each tail."""
-    head = label + " "
-    return head + ("\n" + head).join(tails)
-
-
 def load_graph_text(text: str):
     """Parse the text format; returns Graph or ColoredGraph by column count."""
-    graph = _read_columns(text)
+    graph = _read_columns(list(map(str.split, text.splitlines())))
     return _read_lines(text) if graph is None else graph
 
 
-def _read_columns(text: str):
-    """The bulk pass: the graph of a file without comments, blank lines or
-    defects, None for any other text.  Errors from the graph builders are
-    the same as the line-by-line reader's, since both hand them on."""
-    rows = list(map(str.split, text.splitlines()))
+def _read_columns(rows: list[list[str]]):
+    """The bulk pass: the graph of the split lines of a file without
+    comments, blank lines or defects, None for any other rows.  Errors from
+    the graph builders are raised as FormatError, here only."""
     if len(rows) < 2 or len(rows[0]) != 2:
         return None
     body = rows[1:]
@@ -123,8 +113,8 @@ def _read_columns(text: str):
 
 
 def _read_lines(text: str):
-    """The line-by-line reader: skips comments and blank lines, and names
-    the line of the first defect."""
+    """The line-by-line reader: skips comments and blank lines, names the
+    line of the first defect, and hands the checked lines to the bulk pass."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -142,25 +132,15 @@ def _read_lines(text: str):
         raise FormatError(f"expected {m} edge lines, found {len(body)}")
     if not body:
         return Graph(n)
-    colored = len(body[0][1]) == 3
-    edges = []
+    width = 3 if len(body[0][1]) == 3 else 2
     for lineno, cols in body:
-        if len(cols) != (3 if colored else 2):
+        if len(cols) != width:
             raise FormatError(f"line {lineno}: inconsistent edge columns")
-        u, v = _int(lineno, cols[0]), _int(lineno, cols[1])
-        if colored:
-            c = cols[2]
-            if c not in (RED, BLUE):
-                raise FormatError(f"line {lineno}: color must be r or b, got {c!r}")
-            edges.append((u, v, c))
-        else:
-            edges.append((u, v))
-    try:
-        if colored:
-            return build_colored_graph(n, edges)
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        for token in cols[:2]:
+            _int(lineno, token)
+        if width == 3 and cols[2] not in (RED, BLUE):
+            raise FormatError(f"line {lineno}: color must be r or b, got {cols[2]!r}")
+    return _read_columns([header] + [cols for _, cols in body])
 
 
 def load_colored_graph(text: str) -> ColoredGraph:

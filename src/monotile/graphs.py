@@ -8,7 +8,7 @@ and colorings are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 RED = "r"
@@ -92,14 +92,16 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         edges = list(edges)
         columns = _columns(edges, 2)
         self.n = n
-        self._adj = _edge_by_edge(n, edges) if columns is None else _pair_masks(n, *columns)
-        self._edges: Optional[tuple[tuple[int, int], ...]] = None
+        if columns is None:
+            self._adj = _colored_edge_by_edge(n, ((u, v, BLUE) for u, v in edges)).graph._adj
+        else:
+            self._adj = _pair_masks(n, *columns)
 
     @classmethod
     def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
@@ -112,7 +114,6 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g._adj = adj
-        g._edges = None
         return g
 
     def neighbors_mask(self, v: int) -> int:
@@ -135,9 +136,7 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        if self._edges is None:
-            self._edges = tuple(edges_inside(self._adj, (1 << self.n) - 1))
-        return self._edges
+        return tuple(edges_inside(self._adj, (1 << self.n) - 1))
 
     @property
     def num_edges(self) -> int:
@@ -166,10 +165,12 @@ def _check_edge(n: int, u: int, v: int) -> None:
 
 # The builders below check an edge list in bulk: the endpoint columns against
 # 0..n-1, then one OR loop, then the degree sum, which a loop or a repeated
-# edge leaves short of 2m.  Any failure replays the list edge by edge, which
-# raises on the first bad edge, so every list gives the same graph or the same
-# error as a per-edge check would.  With n < 0 every list fails the range
-# check, and the replay's first step, _zeros, rejects n.
+# edge leaves short of 2m.  Any failure replays the list edge by edge through
+# _colored_edge_by_edge, with each uncoloured edge tagged blue, which raises
+# on the first bad edge, so every list gives the same graph or the same error
+# as a per-edge check would.  With n < 0 every list fails the range check,
+# and the replay's first step, _zeros, rejects n.  Each class keeps its own
+# bulk loop: one loop shared by both made coloured builds 30-60% slower.
 
 
 def _zeros(n: int) -> list[int]:
@@ -223,18 +224,7 @@ def _pair_masks(n: int, us: Sequence[int], vs: Sequence[int]) -> list[int]:
         else:
             if _degree_sum(adj, _endpoints(n, us, vs)) == 2 * len(us):
                 return adj
-    return _edge_by_edge(n, zip(us, vs))
-
-
-def _edge_by_edge(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    adj = _zeros(n)
-    for u, v in edges:
-        _check_edge(n, u, v)
-        if adj[u] >> v & 1:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    return _colored_edge_by_edge(n, zip(us, vs, repeat(BLUE))).graph._adj
 
 
 class ColoredGraph:
@@ -244,13 +234,12 @@ class ColoredGraph:
     at construction.
     """
 
-    __slots__ = ("graph", "_red", "_blue", "_colored_edges")
+    __slots__ = ("graph", "_red", "_blue")
 
     def __init__(self, graph: Graph, red: list[int], blue: list[int]):
         self.graph = graph
         self._red = red
         self._blue = blue
-        self._colored_edges: Optional[tuple[tuple[int, int, str], ...]] = None
 
     @classmethod
     def from_columns(
@@ -296,12 +285,9 @@ class ColoredGraph:
 
     @property
     def colored_edges(self) -> tuple[tuple[int, int, str], ...]:
-        if self._colored_edges is None:
-            self._colored_edges = tuple(
-                (u, v, RED if self._red[u] >> v & 1 else BLUE)
-                for u, v in self.graph.edges
-            )
-        return self._colored_edges
+        return tuple(
+            (u, v, RED if self._red[u] >> v & 1 else BLUE) for u, v in self.graph.edges
+        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -672,6 +672,9 @@ HOSTILE_INPUTS = [
     pytest.param(GENERATE + ("--random", "--n", "7", "--part-method", "nope", "--density", "0.3"), None, "random instances take no density or part_method", id="generate-random-unread-flags"),
     pytest.param(GENERATE + ("--extremal", "--n", "26", "--delta", "13", "--p-red", "0.5"), None, "extremal instances take no p_red", id="generate-extremal-p-red"),
     pytest.param(GENERATE + ("--five-part", "--m", "4", "--n", "20", "--part-method", "circulant_catalog"), None, "five-part instances take no n or part_method", id="generate-five-part-n-part-method"),
+    pytest.param(("solve", "--instance", "{inst}", "--heuristic", "--budget", "5"), None, "solve --heuristic takes no --budget", id="solve-heuristic-budget"),
+    pytest.param(("solve", "--instance", "{inst}", "--iters", "8"), None, "solve --exact takes no --iters", id="solve-exact-iters"),
+    pytest.param(("solve", "--instance", "{inst}", "--exact", "--seed", "2"), None, "solve --exact takes no --seed", id="solve-exact-seed"),
     pytest.param(("solve", "--instance", "{huge}"), None, "vertex count 1000000000000000 is too large", id="solve-huge-vertex-count"),
     pytest.param(("verify", "--instance", "{huge}", "--report", "{data}"), {"tiling": []}, "vertex count 1000000000000000 is too large", id="verify-huge-vertex-count"),
     pytest.param(("theory", "reduce", "--graph", "{huge}"), None, "vertex count 1000000000000000 is too large", id="reduce-huge-vertex-count"),

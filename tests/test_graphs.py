@@ -236,7 +236,7 @@ def test_bulk_builders_agree_with_edge_by_edge(seed):
         colors[rng.randrange(len(colors))] = "g"
     triples = [(u, v, c) for (u, v), c in zip(edges, colors)]
     def edge_by_edge(n, edges):
-        return Graph._from_adj(n, graphs._edge_by_edge(n, edges))
+        return graphs._colored_edge_by_edge(n, ((u, v, BLUE) for u, v in edges)).graph
 
     assert built(Graph, n, edges) == built(edge_by_edge, n, edges)
     assert built(build_colored_graph, n, triples) == built(graphs._colored_edge_by_edge, n, triples)
