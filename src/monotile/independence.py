@@ -55,7 +55,7 @@ def max_independent_set_exact(g: Graph, budget: Optional[int] = None) -> Indepen
             continue
         if count + _clique_cover_bound(adj, candidates) <= best:
             continue
-        v = _branch_vertex(adj, candidates)
+        v = max(iter_bits(candidates), key=lambda u: (adj[u] & candidates).bit_count())
         bit = 1 << v
         # include v, then exclude it
         search.push(((candidates & ~adj[v] & ~bit, chosen | bit), (candidates & ~bit, chosen)))
@@ -69,17 +69,6 @@ def max_independent_set_exact(g: Graph, budget: Optional[int] = None) -> Indepen
     )
 
 
-def _branch_vertex(adj: list[int], candidates: int) -> int:
-    best_v = -1
-    best_deg = -1
-    for v in iter_bits(candidates):
-        deg = (adj[v] & candidates).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best_v = v
-    return best_v
-
-
 def greedy_independent(adj: list[int], order: Iterable[int]) -> int:
     """Take each vertex of order unless a taken vertex is adjacent to it; the
     mask taken is a maximal independent set when order holds every vertex."""
@@ -91,15 +80,16 @@ def greedy_independent(adj: list[int], order: Iterable[int]) -> int:
 
 
 def _clique_cover_bound(adj: list[int], candidates: int) -> int:
-    # partition candidates into cliques greedily; the clique count bounds
+    # partition candidates into cliques, each grown from the lowest candidate
+    # left by taking the lowest vertex adjacent to every member; this is the
+    # first-fit partition in id order, and its clique count bounds
     # alpha(candidates) from above
-    cliques: list[int] = []
-    for v in iter_bits(candidates):
-        bit = 1 << v
-        for i, clique in enumerate(cliques):
-            if clique & ~adj[v] == 0:
-                cliques[i] = clique | bit
-                break
-        else:
-            cliques.append(bit)
-    return len(cliques)
+    cliques = 0
+    while candidates:
+        pool = candidates
+        while pool:
+            bit = pool & -pool
+            candidates ^= bit
+            pool &= adj[bit.bit_length() - 1]
+        cliques += 1
+    return cliques

@@ -107,7 +107,7 @@ def chromatic_parameters(h: Graph) -> ChromaticProfile:
     comp_diffs = {abs(a - b) for a in comp_sizes for b in comp_sizes}
     hcf_chi = _gcd_or_inf(class_diffs - {0})
     hcf_c = _gcd_or_inf(comp_diffs - {0})
-    hcf = _gcd_pair(hcf_chi, hcf_c)
+    hcf = _gcd_or_inf((class_diffs | comp_diffs) - {0})
     chi_cr = Fraction((chi - 1) * h.n, h.n - sigma)
     chi_star = chi_cr if hcf == 1 else Fraction(chi)
     return ChromaticProfile(chi, sigma, chi_cr, hcf_chi, hcf_c, hcf, chi_star)
@@ -167,15 +167,6 @@ def _gcd_or_inf(values: set[int]) -> Optional[int]:
     if not values:
         return None
     return math.gcd(*values)
-
-
-def _gcd_pair(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    # gcd with None as infinity: gcd(inf, t) = t, gcd(inf, inf) = inf
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return math.gcd(a, b)
 
 
 def admissible_C(k: int, delta: int, c_f2=0) -> Fraction:
@@ -396,13 +387,11 @@ def classify_f2_copies(
     w_set = frozenset(W)
     total = k + len(w_set)
     covered: set[int] = set()
-    count = 0
     for copy in tiling:
         vs = copy.vertex_set
         if covered & vs:
             raise NotPerfectError("copies overlap")
         covered |= vs
-        count += 1
     if covered != set(range(total)):
         raise NotPerfectError(
             f"copies cover {len(covered)} of {total} padded vertices"

@@ -154,6 +154,23 @@ def max_independent_size(g: Graph) -> int:
     return best
 
 
+def first_fit_clique_cover(adj: list[int], candidates: int) -> list[int]:
+    """Cliques of the first-fit partition of candidates: each vertex, by
+    ascending id, joins the first clique whose members are all adjacent to
+    it, or opens a new one."""
+    cliques: list[int] = []
+    for v in range(len(adj)):
+        if not candidates >> v & 1:
+            continue
+        for i, clique in enumerate(cliques):
+            if clique & ~adj[v] == 0:
+                cliques[i] = clique | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
+
+
 def is_triangle_free(g: Graph) -> bool:
     return not any(
         g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)

@@ -675,6 +675,12 @@ HOSTILE_INPUTS = [
     pytest.param(("solve", "--instance", "{inst}", "--heuristic", "--budget", "5"), None, "solve --heuristic takes no --budget", id="solve-heuristic-budget"),
     pytest.param(("solve", "--instance", "{inst}", "--iters", "8"), None, "solve --exact takes no --iters", id="solve-exact-iters"),
     pytest.param(("solve", "--instance", "{inst}", "--exact", "--seed", "2"), None, "solve --exact takes no --seed", id="solve-exact-seed"),
+    pytest.param(("solve", "--instance", "{inst}", "--budget", "x"), None, "--budget", id="solve-budget-string"),
+    pytest.param(EXPERIMENT, {"instances": [{**RANDOM_ENTRY, "kind": "five-part"}]}, "unknown instance kind", id="config-kind-unknown"),
+    pytest.param(EXPERIMENT, {"instances": [RANDOM_ENTRY], "modes": ["both"]}, "bad mode", id="config-mode-unknown"),
+    pytest.param(("theory", "reduce", "--graph", "{inst}"), None, "expected an uncolored graph", id="reduce-colored-graph"),
+    pytest.param(GENERATE + ("--five-part", "--m", "4", "--density", "0"), None, "density must lie in (0, 1]", id="generate-five-part-density-zero"),
+    pytest.param(GENERATE + ("--five-part", "--m", "4", "--p-red", "2"), None, "p_red must lie in [0, 1]", id="generate-five-part-p-red-above-1"),
     pytest.param(("solve", "--instance", "{huge}"), None, "vertex count 1000000000000000 is too large", id="solve-huge-vertex-count"),
     pytest.param(("verify", "--instance", "{huge}", "--report", "{data}"), {"tiling": []}, "vertex count 1000000000000000 is too large", id="verify-huge-vertex-count"),
     pytest.param(("theory", "reduce", "--graph", "{huge}"), None, "vertex count 1000000000000000 is too large", id="reduce-huge-vertex-count"),
@@ -745,6 +751,19 @@ def test_negative_gamma_rejected_before_the_search(tmp_path, capsys, monkeypatch
     code, _, err = run(capsys, "solve", "--instance", str(inst), "--gamma", "-1")
     assert code == 1
     assert "gamma >= 0" in err
+
+
+def test_internal_assertion_exits_2(tmp_path, capsys, monkeypatch):
+    def broken_search(*args, **kwargs):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(cli, "max_mono_tiling_exact", broken_search)
+    inst = tmp_path / "k3.edges"
+    inst.write_text(K3_RED)
+    code, out, err = run(capsys, "solve", "--instance", str(inst))
+    assert code == 2
+    assert "internal assertion failed" in err
+    assert out == ""
 
 
 def test_zero_budget_stays_valid(tmp_path, capsys):

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from monotile.generators import triangle_free_process
-from monotile.graphs import Graph
+from monotile.graphs import Graph, iter_bits
 from monotile.independence import (
+    _clique_cover_bound,
     greedy_independent,
     is_triangle_free,
     max_independent_set_exact,
@@ -53,6 +54,23 @@ class TestGreedyIndependent:
             assert not any(g.has_edge(u, v) for u, v in combinations(taken, 2))
             for v in set(range(g.n)) - set(taken):
                 assert any(g.has_edge(u, v) for u in taken)
+
+
+class TestCliqueCoverBound:
+    def test_matches_first_fit_partition(self):
+        rng = random.Random(16)
+        for trial in range(300):
+            n = rng.randint(0, 30)
+            # edgeless and complete graphs every tenth trial, else any density
+            p = {0: 0.0, 1: 1.0}.get(trial % 10, rng.random())
+            g = random_graph(n, p, trial)
+            adj = [g.neighbors_mask(v) for v in range(n)]
+            candidates = 0 if trial % 7 == 0 else rng.getrandbits(n)
+            cliques = oracles.first_fit_clique_cover(adj, candidates)
+            assert sum(cliques) == candidates
+            for clique in cliques:
+                assert all(clique & ~adj[v] == 1 << v for v in iter_bits(clique))
+            assert _clique_cover_bound(adj, candidates) == len(cliques), trial
 
 
 class TestExactIndependence:

@@ -7,7 +7,9 @@ import pytest
 
 from monotile.generators import random_bipartite
 from monotile.graphs import Graph
+from monotile.rationals import as_fraction
 from monotile.regularity import (
+    EXHAUSTIVE_SIDE_LIMIT,
     DegenerateParametersError,
     EmptySideError,
     OverlappingSidesError,
@@ -116,10 +118,23 @@ class TestRefuter:
         base = density(g, range(20), range(20, 40))
         assert abs(density(g, w.X, w.Y) - base) == w.deviation
 
+    def test_large_regular_pair_sampled_mode_finds_nothing(self):
+        # K_{13,13}: every sub-pair has density 1, so no fixed candidate and
+        # no random sample deviates, and the same seed repeats the answer
+        assert 13 > EXHAUSTIVE_SIDE_LIMIT
+        g = random_bipartite(13, 13, 1.0, seed=0)
+        for _ in range(2):
+            assert regularity_refuter(g, range(13), range(13, 26), Fraction(1, 4), seed=3) is None
+
     def test_nonpositive_eps_rejected(self):
         g = random_bipartite(4, 4, 0.5, seed=0)
         with pytest.raises(ValueError):
             regularity_refuter(g, range(4), range(4, 8), 0)
+
+
+def test_float_parameters_have_decimal_intent():
+    assert as_fraction(0.1) == Fraction(1, 10)
+    assert Fraction(0.1) != Fraction(1, 10)
 
 
 class TestTypicality:
