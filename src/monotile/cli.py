@@ -163,7 +163,9 @@ def _gamma(text) -> Fraction:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="monotile", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's run default (its handler) replaces the name stored in
+    # run, so run_cli dispatches with args.run(args)
+    sub = parser.add_subparsers(dest="run", metavar="command", required=True)
 
     gen = sub.add_parser("generate", help="write an instance file plus metadata sidecar")
     gen.add_argument("--kind", choices=("extremal", "random", "five-part"))
@@ -183,6 +185,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--part-method")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(run=_cmd_generate)
 
     sol = sub.add_parser("solve", help="solve an instance file and write a JSON report")
     sol.add_argument("--instance", required=True)
@@ -202,33 +205,40 @@ def build_parser() -> _Parser:
     sol.add_argument("--seed", type=int)
     sol.add_argument("--gamma", type=_gamma, default=Fraction(0))
     sol.add_argument("--out")
+    sol.set_defaults(run=_cmd_solve)
 
     ver = sub.add_parser("verify", help="check a solve report's tiling against an instance")
     ver.add_argument("--instance", required=True)
     ver.add_argument("--report", required=True)
+    ver.set_defaults(run=_cmd_verify)
 
     bnd = sub.add_parser("bounds", help="print the bound table for (n, delta)")
     bnd.add_argument("--n", type=int, required=True)
     bnd.add_argument("--delta", type=int, required=True)
     bnd.add_argument("--gamma", type=_gamma, default=Fraction(0))
+    bnd.set_defaults(run=_cmd_bounds)
 
     thr = sub.add_parser("theory", help="chromatic profiles and bowtie reductions")
-    thr_sub = thr.add_subparsers(dest="theory_command", required=True)
+    thr_sub = thr.add_subparsers(dest="run", metavar="command", required=True)
     prof = thr_sub.add_parser("profile", help="chromatic tiling profile of a graph file")
     prof.add_argument("--graph", help="uncolored graph file; omit for the bowtie")
+    prof.set_defaults(run=_cmd_profile)
     adm = thr_sub.add_parser("admissible-c", help="smallest admissible padding margin")
     adm.add_argument("--k", type=int, required=True)
     adm.add_argument("--delta", type=int, required=True)
     adm.add_argument("--c-f2", type=_rational, default=Fraction(0))
+    adm.set_defaults(run=_cmd_admissible_c)
     red = thr_sub.add_parser("reduce", help="pad a base graph and tile it with bowties")
     red.add_argument("--graph", required=True)
     red.add_argument("--C", type=_rational, help="padding margin; default admissible_C")
     red.add_argument("--c-f2", type=_rational, default=Fraction(0))
     red.add_argument("--budget", type=_non_negative_int)
+    red.set_defaults(run=_cmd_reduce)
 
     exp = sub.add_parser("experiment", help="run a seeded sweep, appending CSV rows")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
+    exp.set_defaults(run=_cmd_experiment)
 
     return parser
 
@@ -243,11 +253,11 @@ def _parser() -> _Parser:
 def run_cli(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return _dispatch(args)
+        return args.run(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
@@ -257,22 +267,6 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
-
-
-def _dispatch(args) -> int:
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "theory":
-        return _cmd_theory(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 # the parameters each kind of instance reads, besides its seed
@@ -399,25 +393,29 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_theory(args) -> int:
-    if args.theory_command == "profile":
-        g = load_graph(Path(args.graph).read_text()) if args.graph else bowtie_graph()
-        p = chromatic_parameters(g)
-        out = {
-            "chi": p.chi,
-            "sigma": p.sigma,
-            "chi_cr": rational_json(p.chi_cr),
-            "hcf_chi": "inf" if p.hcf_chi is None else p.hcf_chi,
-            "hcf_c": "inf" if p.hcf_c is None else p.hcf_c,
-            "hcf": "inf" if p.hcf is None else p.hcf,
-            "chi_star": rational_json(p.chi_star),
-        }
-        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
-        return 0
-    if args.theory_command == "admissible-c":
-        c = admissible_C(args.k, args.delta, args.c_f2)
-        sys.stdout.write(json.dumps({"C": rational_json(c)}) + "\n")
-        return 0
+def _cmd_profile(args) -> int:
+    g = load_graph(Path(args.graph).read_text()) if args.graph else bowtie_graph()
+    p = chromatic_parameters(g)
+    out = {
+        "chi": p.chi,
+        "sigma": p.sigma,
+        "chi_cr": rational_json(p.chi_cr),
+        "hcf_chi": "inf" if p.hcf_chi is None else p.hcf_chi,
+        "hcf_c": "inf" if p.hcf_c is None else p.hcf_c,
+        "hcf": "inf" if p.hcf is None else p.hcf,
+        "chi_star": rational_json(p.chi_star),
+    }
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def _cmd_admissible_c(args) -> int:
+    c = admissible_C(args.k, args.delta, args.c_f2)
+    sys.stdout.write(json.dumps({"C": rational_json(c)}) + "\n")
+    return 0
+
+
+def _cmd_reduce(args) -> int:
     g = load_graph(Path(args.graph).read_text())
     c = args.C if args.C is not None else admissible_C(g.n, g.min_degree(), args.c_f2)
     reduction = auxiliary_reduction(g, c, args.c_f2)

@@ -189,8 +189,6 @@ def extremal_instance(
     base = n - delta_target
     ell = -(-n // base)
     sizes = [base] * (ell - 1) + [n - (ell - 1) * base]
-    if sizes[-1] <= 0:
-        raise InfeasibleSizesError(f"last part size {sizes[-1]} not positive")
 
     rng = random.Random(seed)
     part_seeds = [rng.randrange(2**32) for _ in sizes]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, iter_bits, mask_of
 from .rationals import as_fraction
@@ -40,14 +40,14 @@ def _side_masks(g: Graph, A: Iterable[int], B: Iterable[int]) -> tuple[int, int]
     return ma, mb
 
 
-def _cross_edges(g: Graph, ma: int, mb: int) -> int:
-    return sum((g.neighbors_mask(v) & mb).bit_count() for v in iter_bits(ma))
+def _density(g: Graph, mx: int, my: int) -> Fraction:
+    edges = sum((g.neighbors_mask(v) & my).bit_count() for v in iter_bits(mx))
+    return Fraction(edges, mx.bit_count() * my.bit_count())
 
 
 def density(g: Graph, X: Iterable[int], Y: Iterable[int]) -> Fraction:
     """Exact cross density e(X, Y) / (|X| |Y|) for disjoint nonempty sides."""
-    mx, my = _side_masks(g, X, Y)
-    return Fraction(_cross_edges(g, mx, my), mx.bit_count() * my.bit_count())
+    return _density(g, *_side_masks(g, X, Y))
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,6 @@ class RegularityWitness:
     deviation: Fraction
 
 
-def _check_witness(
-    g: Graph, A: frozenset, B: frozenset, eps: Fraction, X: frozenset, Y: frozenset
-) -> Optional[RegularityWitness]:
-    if not X or not Y:
-        return None
-    if Fraction(len(X)) < eps * len(A) or Fraction(len(Y)) < eps * len(B):
-        return None
-    deviation = abs(density(g, X, Y) - density(g, A, B))
-    if deviation > eps:
-        return RegularityWitness(X, Y, deviation)
-    return None
-
-
 EXHAUSTIVE_SIDE_LIMIT = 12
 
 
@@ -107,40 +94,50 @@ def regularity_refuter(
     if eps <= 0:
         raise DegenerateParametersError("eps must be positive")
     ma, mb = _side_masks(g, A, B)
-    A = frozenset(iter_bits(ma))
-    B = frozenset(iter_bits(mb))
-    if len(A) <= EXHAUSTIVE_SIDE_LIMIT and len(B) <= EXHAUSTIVE_SIDE_LIMIT:
-        return _refute_exhaustive(g, A, B, eps)
-    return _refute_sampled(g, A, B, eps, sample_count, seed)
+    d0 = _density(g, ma, mb)
+    # sub-pairs need |X| >= eps |A| and |Y| >= eps |B|, and must be nonempty
+    min_x = max(1, _min_side(eps, ma.bit_count()))
+    min_y = max(1, _min_side(eps, mb.bit_count()))
+    if ma.bit_count() <= EXHAUSTIVE_SIDE_LIMIT and mb.bit_count() <= EXHAUSTIVE_SIDE_LIMIT:
+        found = _refute_exhaustive(g, ma, mb, d0, eps, min_x, min_y)
+    else:
+        found = None
+        for mx, my in _sampled_candidates(g, ma, mb, min_x, min_y, sample_count, seed):
+            if mx.bit_count() >= min_x and my.bit_count() >= min_y:
+                dev = abs(_density(g, mx, my) - d0)
+                if dev > eps:
+                    found = mx, my, dev
+                    break
+    if found is None:
+        return None
+    mx, my, dev = found
+    return RegularityWitness(frozenset(iter_bits(mx)), frozenset(iter_bits(my)), dev)
 
 
 def _refute_exhaustive(
-    g: Graph, A: frozenset, B: frozenset, eps: Fraction
-) -> Optional[RegularityWitness]:
+    g: Graph, ma: int, mb: int, d0: Fraction, eps: Fraction, min_x: int, min_y: int
+) -> Optional[tuple[int, int, Fraction]]:
     # For a fixed X the extreme densities over |Y| = y are attained by the
     # top-y and bottom-y vertices of B ranked by |N(b) cap X|, so scanning
     # ranked prefixes over all X is a complete search.
-    a_list = sorted(A)
-    b_list = sorted(B)
-    d0 = density(g, A, B)
-    min_y = _min_side(eps, len(B))
-    for bits in range(1, 1 << len(a_list)):
-        X = [a_list[i] for i in iter_bits(bits)]
-        if Fraction(len(X)) < eps * len(A):
+    mx = 0
+    while mx := (mx - ma) & ma:  # every nonempty X inside A, in mask order
+        x = mx.bit_count()
+        if x < min_x:
             continue
-        mx = mask_of(X)
         ranked = sorted(
-            b_list, key=lambda b: ((g.neighbors_mask(b) & mx).bit_count(), b)
+            iter_bits(mb), key=lambda b: ((g.neighbors_mask(b) & mx).bit_count(), b)
         )
         for order in (ranked, ranked[::-1]):
-            run = 0
+            run = my = 0
             for y, b in enumerate(order, start=1):
                 run += (g.neighbors_mask(b) & mx).bit_count()
+                my |= 1 << b
                 if y < min_y:
                     continue
-                dev = abs(Fraction(run, len(X) * y) - d0)
+                dev = abs(Fraction(run, x * y) - d0)
                 if dev > eps:
-                    return RegularityWitness(frozenset(X), frozenset(order[:y]), dev)
+                    return mx, my, dev
     return None
 
 
@@ -151,70 +148,37 @@ def _min_side(eps: Fraction, size: int) -> int:
     return y if y >= target else y + 1
 
 
-def _refute_sampled(
-    g: Graph,
-    A: frozenset,
-    B: frozenset,
-    eps: Fraction,
-    sample_count: int,
-    seed: int,
-) -> Optional[RegularityWitness]:
-    rng = random.Random(seed)
-    a_list = sorted(A)
-    b_list = sorted(B)
-    min_x = max(1, _min_side(eps, len(A)))
-    min_y = max(1, _min_side(eps, len(B)))
+def _sampled_candidates(
+    g: Graph, ma: int, mb: int, min_x: int, min_y: int, sample_count: int, seed: int
+) -> Iterator[tuple[int, int]]:
+    """Sub-pair masks (X, Y) in test order: the 5 x 5 products of
+    degree-sorted slices, then per-vertex neighborhood slices (A's vertices,
+    then B's), then sample_count seeded random samples."""
+    a_list, b_list = list(iter_bits(ma)), list(iter_bits(mb))
 
-    def degree_in(v: int, side_mask: int) -> int:
-        return (g.neighbors_mask(v) & side_mask).bit_count()
+    def slices(side: list[int], other: int, least: int, whole: int) -> list[int]:
+        by_deg = sorted(side, key=lambda v: ((g.neighbors_mask(v) & other).bit_count(), v))
+        half = len(side) // 2
+        parts = (by_deg[:least], by_deg[-least:], by_deg[:half], by_deg[half:])
+        return [mask_of(part) for part in parts] + [whole]
 
-    mb = mask_of(B)
-    ma = mask_of(A)
-    by_deg_a = sorted(a_list, key=lambda v: (degree_in(v, mb), v))
-    by_deg_b = sorted(b_list, key=lambda v: (degree_in(v, ma), v))
-
-    candidates: list[tuple[frozenset, frozenset]] = []
-    a_slices = [
-        frozenset(by_deg_a[:min_x]),
-        frozenset(by_deg_a[-min_x:]),
-        frozenset(by_deg_a[: len(a_list) // 2]),
-        frozenset(by_deg_a[len(a_list) // 2 :]),
-        frozenset(A),
-    ]
-    b_slices = [
-        frozenset(by_deg_b[:min_y]),
-        frozenset(by_deg_b[-min_y:]),
-        frozenset(by_deg_b[: len(b_list) // 2]),
-        frozenset(by_deg_b[len(b_list) // 2 :]),
-        frozenset(B),
-    ]
-    for xs in a_slices:
-        for ys in b_slices:
-            candidates.append((xs, ys))
-    # single-vertex neighborhood slices
+    b_slices = slices(b_list, ma, min_y, mb)
+    for mx in slices(a_list, mb, min_x, ma):
+        for my in b_slices:
+            yield mx, my
     for a in a_list:
-        nb = frozenset(iter_bits(g.neighbors_mask(a) & mb))
-        candidates.append((frozenset(A), nb))
-        candidates.append((frozenset(A), B - nb))
+        nb = g.neighbors_mask(a) & mb
+        yield ma, nb
+        yield ma, mb & ~nb
     for b in b_list:
-        na = frozenset(iter_bits(g.neighbors_mask(b) & ma))
-        candidates.append((na, frozenset(B)))
-        candidates.append((A - na, frozenset(B)))
-
-    for xs, ys in candidates:
-        w = _check_witness(g, A, B, eps, xs, ys)
-        if w is not None:
-            return w
-
+        na = g.neighbors_mask(b) & ma
+        yield na, mb
+        yield ma & ~na, mb
+    rng = random.Random(seed)
     for _ in range(sample_count):
         x_size = rng.randint(min_x, len(a_list))
         y_size = rng.randint(min_y, len(b_list))
-        xs = frozenset(rng.sample(a_list, x_size))
-        ys = frozenset(rng.sample(b_list, y_size))
-        w = _check_witness(g, A, B, eps, xs, ys)
-        if w is not None:
-            return w
-    return None
+        yield mask_of(rng.sample(a_list, x_size)), mask_of(rng.sample(b_list, y_size))
 
 
 def typical_vertex_filter(
@@ -231,16 +195,11 @@ def typical_vertex_filter(
         raise EmptySideError("Y must be nonempty")
     if my & ~mb:
         raise ValueError("Y must be a subset of B")
-    d = as_fraction(d)
-    eps = as_fraction(eps)
-    threshold = (d - eps) * my.bit_count()
-    typical, atypical = set(), set()
-    for x in iter_bits(ma):
-        if Fraction((g.neighbors_mask(x) & my).bit_count()) > threshold:
-            typical.add(x)
-        else:
-            atypical.add(x)
-    return frozenset(typical), frozenset(atypical)
+    threshold = (as_fraction(d) - as_fraction(eps)) * my.bit_count()
+    typical = mask_of(
+        x for x in iter_bits(ma) if (g.neighbors_mask(x) & my).bit_count() > threshold
+    )
+    return frozenset(iter_bits(typical)), frozenset(iter_bits(ma & ~typical))
 
 
 def t_bound(d, eps) -> int:
@@ -288,26 +247,17 @@ def dominating_greedy(g: Graph, A: Iterable[int], B: Iterable[int], d, eps) -> D
     picks: list[int] = []
     flags: list[int] = []
     sizes: list[int] = []
-    while (
-        Fraction(uncovered.bit_count()) > eps * b_size
-        and len(picks) < t_target
-        and (ma & ~picked)
-    ):
+
+    def cover(a: int) -> int:
+        return (g.neighbors_mask(a) & uncovered).bit_count()
+
+    while uncovered.bit_count() > eps * b_size and len(picks) < t_target and (ma & ~picked):
         sizes.append(uncovered.bit_count())
         need = gamma * uncovered.bit_count()
-        choice = -1
-        for a in iter_bits(ma & ~picked):
-            if Fraction((g.neighbors_mask(a) & uncovered).bit_count()) >= need:
-                choice = a
-                break
-        if choice < 0:
+        choice = next((a for a in iter_bits(ma & ~picked) if cover(a) >= need), None)
+        if choice is None:
             flags.append(len(picks))
-            best_cover = -1
-            for a in iter_bits(ma & ~picked):
-                cover = (g.neighbors_mask(a) & uncovered).bit_count()
-                if cover > best_cover:
-                    best_cover = cover
-                    choice = a
+            choice = max(iter_bits(ma & ~picked), key=cover)  # lowest id on ties
         picks.append(choice)
         picked |= 1 << choice
         uncovered &= ~g.neighbors_mask(choice)

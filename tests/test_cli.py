@@ -632,10 +632,11 @@ VERIFY = ("verify", "--instance", "{inst}", "--report", "{data}")
 EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
 GENERATE = ("generate", "--seed", "0", "--out", "{out}")
 
-# argv (with {inst}, {empty}, {data}, {out}, {huge} filled in), JSON written to
-# {data}, and a fragment the error message must contain.  {inst} is an
-# all-red triangle, {empty} an instance with no vertices and {huge} one whose
-# header asks for 10**15 vertices.
+# argv (with {inst}, {empty}, {data}, {out}, {huge}, {plain} filled in), JSON
+# written to {data}, and a fragment the error message must contain.  {inst} is
+# an all-red triangle, {plain} the triangle as an uncolored graph, {empty} an
+# instance with no vertices and {huge} one whose header asks for 10**15
+# vertices.
 HOSTILE_INPUTS = [
     pytest.param(VERIFY, {"tiling": [["a", "b", "c", "r"]]}, "invalid tiling", id="verify-string-vertices"),
     pytest.param(VERIFY, {"tiling": [[0, 1, 2.5, "r"]]}, "invalid tiling", id="verify-float-vertex"),
@@ -684,6 +685,11 @@ HOSTILE_INPUTS = [
     pytest.param(("solve", "--instance", "{huge}"), None, "vertex count 1000000000000000 is too large", id="solve-huge-vertex-count"),
     pytest.param(("verify", "--instance", "{huge}", "--report", "{data}"), {"tiling": []}, "vertex count 1000000000000000 is too large", id="verify-huge-vertex-count"),
     pytest.param(("theory", "reduce", "--graph", "{huge}"), None, "vertex count 1000000000000000 is too large", id="reduce-huge-vertex-count"),
+    # sizes Python cannot index, rejected before anything is allocated
+    pytest.param(GENERATE + ("--extremal", "--n", str(2**70), "--delta", str(2**70 - 1)), None, "error: ", id="generate-extremal-oversized-n"),
+    pytest.param(GENERATE + ("--five-part", "--m", str(2**70)), None, "error: ", id="generate-five-part-oversized-m"),
+    # on the plain triangle |W| = 9/2 - 5 + C = 2**70 + 3 and 3 + |W| is a multiple of 5
+    pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", f"{2**71 + 7}/2"), None, "error: ", id="reduce-oversized-C"),
 ]
 
 
@@ -692,9 +698,10 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
     paths = {
         "inst": tmp_path / "k3.edges", "empty": tmp_path / "empty.edges",
         "data": tmp_path / "data.json", "out": tmp_path / "runs.csv",
-        "huge": tmp_path / "huge.edges",
+        "huge": tmp_path / "huge.edges", "plain": tmp_path / "k3.graph",
     }
     paths["inst"].write_text(K3_RED)
+    paths["plain"].write_text("3 3\n0 1\n0 2\n1 2\n")
     paths["empty"].write_text("0 0\n")
     # a vertex count whose masks cannot be allocated at all
     paths["huge"].write_text("1000000000000000 0\n")

@@ -132,6 +132,43 @@ class TestRefuter:
             regularity_refuter(g, range(4), range(4, 8), 0)
 
 
+# Sampled-mode answers on random_bipartite(a, b, p, seed), refuted with the
+# same seed and the default sample_count: (sorted X, sorted Y, deviation) of
+# the first witness, or None.  The rows' first witnesses come from a degree
+# slice (13+13 s0, 20+20 s3, 20+20 s0) and from random samples 73, 14 and
+# 190 (13+15 s1, 16+16 s27, 16+16 s5).  No row comes from a neighbourhood
+# slice: with the other side whole, the top and bottom degree slices of the
+# minimum size bound every such candidate's density, so one never deviates
+# first.
+SAMPLED_PINS = {
+    ((13, 13), 0.2, "1/4", 0): ((8, 9, 10, 11), (13, 19, 22, 25), "735/2704"),
+    ((20, 20), 0.5, "1/8", 3): ((2, 5, 10), (22, 27, 29), "341/900"),
+    ((20, 20), 0.5, "1/3", 0): (
+        (0, 1, 3, 4, 5, 12, 19), (20, 21, 26, 30, 33, 38, 39), "7057/19600"
+    ),
+    ((13, 15), 0.5, "1/3", 1): ((1, 2, 8, 9, 11), (17, 18, 21, 22, 25), "334/975"),
+    ((16, 16), 0.5, "1/4", 27): ((3, 7, 8, 14), (16, 17, 19, 20, 23, 28), "35/128"),
+    ((16, 16), 0.8, "1/4", 5): ((1, 6, 7, 10, 14), (19, 27, 29, 30), "75/256"),
+    ((13, 30), 0.8, "1/3", 2): None,
+    ((13, 13), 0.2, "1/4", 4): None,
+}
+
+
+def _pin_id(key) -> str:
+    (a, b), p, eps, seed = key
+    return f"{a}+{b}-p{p}-eps{eps.replace('/', '_')}-seed{seed}"
+
+
+@pytest.mark.parametrize("key", SAMPLED_PINS, ids=_pin_id)
+def test_sampled_refuter_pins(key):
+    (a, b), p, eps, seed = key
+    assert max(a, b) > EXHAUSTIVE_SIDE_LIMIT
+    g = random_bipartite(a, b, p, seed)
+    w = regularity_refuter(g, range(a), range(a, a + b), Fraction(eps), seed=seed)
+    got = None if w is None else (tuple(sorted(w.X)), tuple(sorted(w.Y)), str(w.deviation))
+    assert got == SAMPLED_PINS[key]
+
+
 def test_float_parameters_have_decimal_intent():
     assert as_fraction(0.1) == Fraction(1, 10)
     assert Fraction(0.1) != Fraction(1, 10)
