@@ -87,8 +87,9 @@ def regularity_refuter(
 
     With both sides of size <= 12 the search is exhaustive (a returned None
     certifies regularity); larger pairs get a deterministic family of
-    degree-sorted slices and neighborhood slices plus seeded random sampling,
-    and None then means only that nothing was found.
+    degree-sorted slices plus seeded random sampling, and None then means
+    only that nothing was found.  Above eps = 1 no sub-pair is large
+    enough, and the answer is None in both modes.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -98,6 +99,8 @@ def regularity_refuter(
     # sub-pairs need |X| >= eps |A| and |Y| >= eps |B|, and must be nonempty
     min_x = max(1, _min_side(eps, ma.bit_count()))
     min_y = max(1, _min_side(eps, mb.bit_count()))
+    if min_x > ma.bit_count() or min_y > mb.bit_count():
+        return None
     if ma.bit_count() <= EXHAUSTIVE_SIDE_LIMIT and mb.bit_count() <= EXHAUSTIVE_SIDE_LIMIT:
         found = _refute_exhaustive(g, ma, mb, d0, eps, min_x, min_y)
     else:
@@ -152,8 +155,10 @@ def _sampled_candidates(
     g: Graph, ma: int, mb: int, min_x: int, min_y: int, sample_count: int, seed: int
 ) -> Iterator[tuple[int, int]]:
     """Sub-pair masks (X, Y) in test order: the 5 x 5 products of
-    degree-sorted slices, then per-vertex neighborhood slices (A's vertices,
-    then B's), then sample_count seeded random samples."""
+    degree-sorted slices, then sample_count seeded random samples.  A side's
+    least and most connected slices of the minimum size, with the other side
+    whole, bound the density of every (A, Y) and (X, B) candidate, so no such
+    pair can deviate first."""
     a_list, b_list = list(iter_bits(ma)), list(iter_bits(mb))
 
     def slices(side: list[int], other: int, least: int, whole: int) -> list[int]:
@@ -166,14 +171,6 @@ def _sampled_candidates(
     for mx in slices(a_list, mb, min_x, ma):
         for my in b_slices:
             yield mx, my
-    for a in a_list:
-        nb = g.neighbors_mask(a) & mb
-        yield ma, nb
-        yield ma, mb & ~nb
-    for b in b_list:
-        na = g.neighbors_mask(b) & ma
-        yield na, mb
-        yield ma & ~na, mb
     rng = random.Random(seed)
     for _ in range(sample_count):
         x_size = rng.randint(min_x, len(a_list))

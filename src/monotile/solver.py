@@ -5,12 +5,16 @@ hypergraph.  At every node it branches on the lexicographically first vertex
 still covered by some live triangle (cover it with one of its triangles, or
 discard it), keeps the better of its incumbent and a greedy completion, and
 prunes with the smaller of two bounds on the triangles still to come:
-floor(|cover|/3), and |T & cover| for one hitting set T of the triangles,
-taken at the root greedily (the vertex on the most triangles first) and made
+floor(|cover|/3), and |T| for a minimal hitting set T of the live triangles
+(no vertex of T can be dropped).  Vertex-disjoint triangles need distinct
+vertices of a hitting set, so nu <= tau (Tuza 1981, Haxell 1999).  The root
+takes T greedily (the vertex on the most triangles first) and makes it
 minimal (each vertex dropped, highest first, when the rest still hits every
-triangle).  Vertex-disjoint triangles need distinct vertices of a hitting
-set, so nu <= tau (Tuza 1981, Haxell 1999); a triangle live at a node was
-live at the root, so it holds a vertex of T that is still in the cover.
+triangle).  Each child carries its parent's T cut to its own cover, which
+still hits every live triangle; a node that this set does not prune makes
+it minimal again, as BBMC recomputes its bound at every node, then re-tests
+the bound and branches.  Only a vertex of T on a triangle the step removed
+can have lost the last triangle it alone hit, so only those are retried.
 
 The incumbent starts as the heuristic's tiling of the same triangles (its
 default kicks and seed), and the search stops, proven, once the incumbent
@@ -98,9 +102,11 @@ def max_mono_tiling_exact(
     the module docstring).  The budget caps each search, so strong mode can
     expand at most 2·(budget+1) nodes in all.  exact=False means a budget ran
     out and the incumbent, at least the heuristic's tiling, is only a lower
-    bound.  upper_bound_used is the bound at the root, min(floor(|cover|/3),
-    |T|) with T the minimal hitting set, taken before any node is expanded
-    (the larger of the two colours' in strong mode).
+    bound.  Every expanded node prunes with a minimal hitting set of its
+    live triangles, carried from its parent and made minimal again there;
+    upper_bound_used is still the bound at the root, min(floor(|cover|/3),
+    |T|) with T the root's minimal hitting set, taken before any node is
+    expanded (the larger of the two colours' in strong mode).
     """
     index, searches = _searches(cg, mode)
     chosen, nodes, exact, bound = zip(*(_pack_exact(index, live, budget) for live in searches))
@@ -227,6 +233,26 @@ def _minimal(hits: list[int], taken: int, live: int) -> int:
     return taken
 
 
+def _reminimised(hits: list[int], near: list[int], hit: int, touched: int, live: int) -> int:
+    """_minimal(hits, hit, live) for hit, a set that was minimal for a
+    parent's live ids and still hits live, a child's, when the step between
+    them removed only triangles through touched vertices.  A vertex of hit
+    outside touched keeps the triangle only it hit, so only the vertices of
+    hit & touched are retried, highest first: each is dropped when the other
+    vertices of hit on its triangles (those in its near mask) already hit its
+    live triangles."""
+    check = hit & touched
+    while check:
+        x = check.bit_length() - 1
+        check ^= 1 << x
+        rest = 0
+        for y in iter_bits(hit & near[x] & ~(1 << x)):
+            rest |= hits[y]
+        if not hits[x] & live & ~rest:
+            hit ^= 1 << x
+    return hit
+
+
 def _near(index: _Index, searched: int) -> list[int]:
     """Per vertex v, the vertices on a triangle of searched through v.  Two
     vertices on one triangle are adjacent, so only edges are tested, each
@@ -261,32 +287,39 @@ def _pack_exact(
             check ^= low
         return live, cover
 
-    def children(live: int, cover: int, chosen: list[int]):
+    def children(live: int, cover: int, chosen: list[int], hit: int):
         # Branch on the lowest cover vertex v: its live triangles by id,
-        # then discard v.
+        # then discard v.  Each child carries hit and the vertices whose
+        # triangles the step may have removed.
         v = (cover & -cover).bit_length() - 1
         for i in iter_bits(hits[v] & live):
             a, b, c = verts[i]
             gone = hits[a] | hits[b] | hits[c]
             touched = near[a] | near[b] | near[c]
             cover_abc = cover & ~(1 << a | 1 << b | 1 << c)
-            yield (*drop(live, cover_abc, gone, touched), chosen + [i])
-        yield (*drop(live, cover ^ 1 << v, hits[v], near[v]), chosen)
+            yield (*drop(live, cover_abc, gone, touched), chosen + [i], hit, touched)
+        yield (*drop(live, cover ^ 1 << v, hits[v], near[v]), chosen, hit, near[v])
 
     root_cover = _cover(hits, searched)
     root_bound = min(root_cover.bit_count() // 3, hitting.bit_count())
     best = _local_search(index, searched, HEURISTIC_ITERS, HEURISTIC_SEED, root_bound)
-    search = DepthFirst((searched, root_cover, []), budget)
-    for live, cover, chosen in search:
+    search = DepthFirst((searched, root_cover, [], hitting, 0), budget)
+    for live, cover, chosen, hit, touched in search:
         extra = _greedy(verts, hits, live)
         if len(chosen) + len(extra) > len(best):
             best = chosen + extra
         if len(best) == root_bound:
             break
-        if len(chosen) + min(cover.bit_count() // 3, (hitting & cover).bit_count()) > len(best):
-            if near is None:
-                near = _near(index, searched)
-            search.push(children(live, cover, chosen))
+        # The parent's minimal set, cut to the cover, bounds first; only a
+        # node it does not prune pays to make it minimal, and tries again.
+        hit &= cover
+        need = len(best) - len(chosen)
+        if min(cover.bit_count() // 3, hit.bit_count()) > need:
+            hit = _reminimised(hits, near, hit, touched, live)
+            if hit.bit_count() > need:
+                if near is None:
+                    near = _near(index, searched)
+                search.push(children(live, cover, chosen, hit))
     return best, search.nodes, search.exact, root_bound
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from monotile.generators import random_bipartite
 from monotile.graphs import Graph
+from monotile import regularity
 from monotile.rationals import as_fraction
 from monotile.regularity import (
     EXHAUSTIVE_SIDE_LIMIT,
@@ -126,6 +127,19 @@ class TestRefuter:
         for _ in range(2):
             assert regularity_refuter(g, range(13), range(13, 26), Fraction(1, 4), seed=3) is None
 
+    @pytest.mark.parametrize("sample_count", [0, 5, 200])
+    def test_eps_above_one_finds_nothing_in_either_mode(self, sample_count, monkeypatch):
+        # no sub-pair reaches eps |A| vertices, so the sampled mode draws no
+        # candidate (a sample size from an empty range) and answers as the
+        # exhaustive mode does
+        eps = Fraction(3, 2)
+        small = random_bipartite(6, 6, 0.5, 3)
+        assert regularity_refuter(small, range(6), range(6, 12), eps) is None
+        monkeypatch.setattr(regularity, "_sampled_candidates", None)
+        g = random_bipartite(15, 15, 0.5, 3)
+        got = regularity_refuter(g, range(15), range(15, 30), eps, sample_count=sample_count)
+        assert got is None
+
     def test_nonpositive_eps_rejected(self):
         g = random_bipartite(4, 4, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -136,7 +150,7 @@ class TestRefuter:
 # same seed and the default sample_count: (sorted X, sorted Y, deviation) of
 # the first witness, or None.  The rows' first witnesses come from a degree
 # slice (13+13 s0, 20+20 s3, 20+20 s0) and from random samples 73, 14 and
-# 190 (13+15 s1, 16+16 s27, 16+16 s5).  No row comes from a neighbourhood
+# 190 (13+15 s1, 16+16 s27, 16+16 s5).  The refuter tests no neighbourhood
 # slice: with the other side whole, the top and bottom degree slices of the
 # minimum size bound every such candidate's density, so one never deviates
 # first.

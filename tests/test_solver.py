@@ -21,6 +21,7 @@ from monotile.graphs import (
     Tiling,
     Triangle,
     build_colored_graph,
+    iter_bits,
 )
 from monotile import graphs, solver
 from monotile.solver import (
@@ -28,6 +29,7 @@ from monotile.solver import (
     _index,
     _minimal,
     _near,
+    _reminimised,
     _searches,
     _transversal,
     bound_table,
@@ -174,7 +176,7 @@ TRAPS_10_TILING = " ".join(
 # covered vertex by id, then discarding it), the greedy tail taking the
 # lowest-id live triangle first, and the root transversal (most live
 # triangles first, lowest vertex on ties, then made minimal highest vertex
-# first).  A search whose incumbent meets the root bound stops at node 1.
+# first), carried to each node and made minimal again there.  A search whose incumbent meets the root bound stops at node 1.
 # On disjoint red K4s the root bound exceeds the optimum, so a budget still
 # runs out there.
 SEARCH_ORDER_PINS = [
@@ -223,7 +225,7 @@ SEARCH_ORDER_PINS = [
      "0-27-32r 1-28-39r 2-25-34r 3-10-19r 4-13-16r 5-8-17r 6-26-33r 7-9-18r"),
     (("five-part", 9, 0.6, 3), "weak", None, 9, True, 1, 9,
      "0-10-20r 1-27-38r 2-12-26r 3-33-36b 4-16-18r 5-11-21r 6-14-22r 7-31-37r 8-9-25b"),
-    (("five-part", 9, 0.6, 3), "strong", None, 9, True, 33, 9,
+    (("five-part", 9, 0.6, 3), "strong", None, 9, True, 24, 9,
      "0-10-20r 1-27-38r 2-16-18r 3-9-26r 4-28-41r 5-11-21r 6-32-42r 7-31-37r 8-14-22r"),
     # a greedy completion below the root reaches the root bound; the search
     # stops there instead of drawing the 12 nodes still stacked
@@ -334,6 +336,39 @@ class TestTransversal:
             res = max_mono_tiling_exact(inst.colored_graph, WEAK, budget=1000)
             assert res.exact
             assert res.tiling.size == inst.best_bound()
+
+
+class TestCarriedTransversal:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_each_step_reminimises_as_the_full_pass(self, seed):
+        # from a minimal root set, random cover and discard steps down to no
+        # live triangle: the set carried from the parent and retried on the
+        # touched vertices is the full pass's set, and it is minimal
+        rng = random.Random(seed)
+        cg = random_colored(rng.randint(6, 13), 0.8, 0.5, seed)
+        index, masks = _searches(cg, WEAK, heuristic=True)
+        verts, hits, _, _ = index
+        for live in masks:
+            near = _near(index, live)
+            hit = _minimal(hits, _transversal(hits, live), live)
+            while live:
+                v = rng.choice(list(iter_bits(_cover(hits, live))))
+                i = rng.choice([*iter_bits(hits[v] & live), None])
+                touched = 0
+                for u in (v,) if i is None else verts[i]:
+                    live &= ~hits[u]
+                    touched |= near[u]
+                parent = hit & _cover(hits, live)
+                hit = _reminimised(hits, near, parent, touched, live)
+                assert hit == _minimal(hits, parent, live)
+                assert oracles.is_minimal_transversal([verts[j] for j in iter_bits(live)], hit)
+
+    def test_carried_bound_closes_the_slowest_pool_search(self):
+        # with the root set cut to the cover as the only bound below the
+        # root, this strong search spent its 5000 nodes unproven
+        cg = five_part_instance(9, 0.6, 0.5, 96).colored_graph
+        res = max_mono_tiling_exact(cg, STRONG, budget=5000)
+        assert (res.exact, res.tiling.size) == (True, 9)
 
 
 class TestIndex:
