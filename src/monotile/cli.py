@@ -85,7 +85,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text())
+        raw = _read_json(path)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         instances = raw.get("instances")
@@ -130,6 +130,24 @@ class ExperimentConfig:
             gamma=gamma,
             part_method=raw.get("part_method"),
         )
+
+
+def _read_json(path: str):
+    """The JSON value in the file at path; JSON nested deeper than the parser
+    can recurse is a ValueError like any other malformed file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _write_json(value, out: Optional[str] = None) -> None:
+    """value as indented, key-sorted JSON, to the file out or to stdout."""
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _non_negative_int(text: str) -> int:
@@ -360,18 +378,13 @@ def _cmd_solve(args) -> int:
     if args.method == "heuristic":
         heuristic = (HEURISTIC_ITERS if args.iters is None else args.iters,
                      HEURISTIC_SEED if args.seed is None else args.seed)
-    report = _solve(cg, args.mode, args.gamma, args.budget, heuristic)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(_solve(cg, args.mode, args.gamma, args.budget, heuristic), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     cg = load_colored_graph(Path(args.instance).read_text())
-    report = json.loads(Path(args.report).read_text())
+    report = _read_json(args.report)
     try:
         triangles = tuple(
             Triangle((a, b, c), color) for a, b, c, color in report["tiling"]
@@ -388,8 +401,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bound_table(args.n, args.delta, gamma=args.gamma)
-    sys.stdout.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(bound_table(args.n, args.delta, gamma=args.gamma).as_dict())
     return 0
 
 
@@ -405,7 +417,7 @@ def _cmd_profile(args) -> int:
         "hcf": "inf" if p.hcf is None else p.hcf,
         "chi_star": rational_json(p.chi_star),
     }
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _write_json(out)
     return 0
 
 
@@ -439,7 +451,7 @@ def _cmd_reduce(args) -> int:
         out["t"] = counts.t
         out["ell"] = counts.ell
         out["ell_minus_s"] = rational_json(counts.ell_minus_s)
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _write_json(out)
     return 0
 
 

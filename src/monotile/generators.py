@@ -197,17 +197,12 @@ def extremal_instance(
         for i, size in enumerate(sizes)
     ]
 
-    parts = []
-    offset = 0
-    for size in sizes:
-        parts.append(tuple(range(offset, offset + size)))
-        offset += size
-
-    edges = []
-    for i, pg in enumerate(part_graphs):
-        o = parts[i][0]
-        for u, v in pg.edges:
-            edges.append((o + u, o + v, BLUE))
+    parts = tuple(tuple(range(i * base, i * base + size)) for i, size in enumerate(sizes))
+    edges = [
+        (i * base + u, i * base + v, BLUE)
+        for i, pg in enumerate(part_graphs)
+        for u, v in pg.edges
+    ]
     for i in range(ell):
         for j in range(i + 1, ell):
             color = RED if i == 0 else BLUE
@@ -231,13 +226,13 @@ def extremal_instance(
         UpperBoundCertificate(AVOID_V1, (n - sizes[0]) // 3, (0,))
     ]
     if ell == 3:
-        v3 = 2 * delta_target - n
-        if v3 == sizes[2] and 2 * v3 <= sizes[1]:
+        v3 = 2 * delta_target - n  # the last part: n - 2(n - delta_target) vertices
+        if 2 * v3 <= sizes[1]:
             certificates.append(UpperBoundCertificate(AVOID_V1_V3, v3, (1, 2)))
 
     return ExtremalInstance(
         colored_graph=cg,
-        parts=tuple(parts),
+        parts=parts,
         delta_target=delta_target,
         part_method=part_method,
         seed=seed,
@@ -346,10 +341,8 @@ def parse_sidecar(text: str) -> dict[str, str]:
 
 
 def extremal_sidecar(inst: ExtremalInstance) -> str:
-    part_of_vertex = [0] * inst.n
-    for i, part in enumerate(inst.parts):
-        for v in part:
-            part_of_vertex[v] = i
+    base = len(inst.parts[0])
+    part_of_vertex = [v // base for v in range(inst.n)]
     entries = [
         ("kind", "extremal"),
         ("n", str(inst.n)),

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
-from .generators import FivePartInstance
+from .generators import BOWTIE_PAIRS, FivePartInstance
 from .graphs import (
     BLUE,
     RED,
@@ -145,21 +144,20 @@ def _class_size_multisets(h: Graph, chi: int) -> set[tuple[int, ...]]:
 
 
 def _component_sizes(h: Graph) -> list[int]:
-    seen = 0
+    # each component grows from the lowest vertex not yet reached
+    unreached = (1 << h.n) - 1
     sizes = []
-    for v in range(h.n):
-        if seen >> v & 1:
-            continue
-        frontier = 1 << v
-        comp = 0
+    while unreached:
+        frontier = unreached & -unreached
+        size = 0
         while frontier:
-            comp |= frontier
+            unreached &= ~frontier
+            size += frontier.bit_count()
             nxt = 0
             for u in iter_bits(frontier):
                 nxt |= h.neighbors_mask(u)
-            frontier = nxt & ~comp
-        sizes.append(comp.bit_count())
-        seen |= comp
+            frontier = nxt & unreached
+        sizes.append(size)
     return sizes
 
 
@@ -233,11 +231,8 @@ def auxiliary_reduction(r: Graph, C, c_f2=0) -> AuxReduction:
         raise ArithmeticConstraintViolatedError(
             f"padded order {total} is not divisible by 5"
         )
-    all_base = (1 << k) - 1
-    adj = [r.neighbors_mask(v) for v in range(k)]
     w_block = ((1 << w) - 1) << k
-    adj = [m | w_block for m in adj]
-    adj.extend(all_base for _ in range(w))
+    adj = [r.neighbors_mask(v) | w_block for v in range(k)] + [(1 << k) - 1] * w
     aux = Graph._from_adj(total, adj)
     aux_delta = aux.min_degree()
     hypothesis_ok = Fraction(aux_delta) >= Fraction(3, 5) * total + c_f2
@@ -274,7 +269,8 @@ class F2Copy:
 
     @property
     def mask(self) -> int:
-        return mask_of(self.vertex_set)
+        (a, b), (c, d) = self.wings
+        return 1 << self.center | 1 << a | 1 << b | 1 << c | 1 << d
 
 
 @dataclass(frozen=True)
@@ -377,55 +373,43 @@ def classify_f2_copies(
 ) -> F2Classification:
     """Count a perfect tiling's copies by padding usage and check identities.
 
-    Validates that the copies exactly cover the padded vertex set, that no
-    copy uses three padding vertices (impossible since W is independent and
-    a bowtie's independence number is 2), and that the counts satisfy
-    2s + t = |W| and 3s + 4t + 5*ell = k together with the eliminated form
-    ell - s = 2*delta - k - (4/5)C.
+    Checks that the copies exactly cover the padded vertex set, that no copy
+    uses three padding vertices (impossible since W is independent and a
+    bowtie's independence number is 2), that 2s + t = |W|, that
+    |W| = (3/2)k - (5/2)delta + C, and that ell reaches 2*delta - k - C.
+    The other two identities follow from these: 3s + 4t + 5*ell = k, since
+    the disjoint five-vertex copies cover k + |W| vertices, and the
+    eliminated form ell - s = 2*delta - k - (4/5)C.
     """
     C = as_fraction(C)
-    w_set = frozenset(W)
-    total = k + len(w_set)
-    covered: set[int] = set()
-    for copy in tiling:
-        vs = copy.vertex_set
-        if covered & vs:
-            raise NotPerfectError("copies overlap")
-        covered |= vs
-    if covered != set(range(total)):
+    w_mask = mask_of(W)
+    w_size = w_mask.bit_count()
+    total = k + w_size
+    masks = [copy.mask for copy in tiling]
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered.bit_count() != 5 * len(masks):
+        raise NotPerfectError("copies overlap")
+    if covered != (1 << total) - 1:
         raise NotPerfectError(
-            f"copies cover {len(covered)} of {total} padded vertices"
+            f"copies cover {covered.bit_count()} of {total} padded vertices"
         )
-    s = t = ell = 0
-    for copy in tiling:
-        in_w = len(copy.vertex_set & w_set)
-        if in_w == 0:
-            ell += 1
-        elif in_w == 1:
-            t += 1
-        elif in_w == 2:
-            s += 1
-        else:
+    uses = [(m & w_mask).bit_count() for m in masks]
+    for in_w in uses:
+        if in_w > 2:
             raise CountIdentityViolatedError(
                 f"copy uses {in_w} padding vertices; the padding set is independent"
             )
-    if 2 * s + t != len(w_set):
+    s, t, ell = uses.count(2), uses.count(1), uses.count(0)
+    if 2 * s + t != w_size:
+        raise CountIdentityViolatedError(f"2s + t = {2 * s + t} but |W| = {w_size}")
+    # the disjoint five-vertex copies cover k + |W|, so 3s + 4t + 5*ell = k + |W| - (2s + t) = k
+    if Fraction(w_size) != Fraction(3, 2) * k - Fraction(5, 2) * delta + C:
         raise CountIdentityViolatedError(
-            f"2s + t = {2 * s + t} but |W| = {len(w_set)}"
+            f"|W| = {w_size} inconsistent with (3/2)k - (5/2)delta + C"
         )
-    if 3 * s + 4 * t + 5 * ell != k:
-        raise CountIdentityViolatedError(
-            f"3s + 4t + 5*ell = {3 * s + 4 * t + 5 * ell} but k = {k}"
-        )
-    if Fraction(len(w_set)) != Fraction(3, 2) * k - Fraction(5, 2) * delta + C:
-        raise CountIdentityViolatedError(
-            f"|W| = {len(w_set)} inconsistent with (3/2)k - (5/2)delta + C"
-        )
-    derived = 2 * delta - k - Fraction(4, 5) * C
-    if Fraction(ell - s) != derived:
-        raise CountIdentityViolatedError(
-            f"ell - s = {ell - s} but the identities give {derived}"
-        )
+    # eliminating t and |W| gives ell - s = (k - 4|W|)/5 = 2*delta - k - (4/5)C
     guarantee = 2 * delta - k - C
     if ell < guarantee:
         raise CountIdentityViolatedError(
@@ -455,7 +439,6 @@ def three_part_mono_finder(
     beta,
     eps,
     alpha_bound: Optional[int] = None,
-    budget: Optional[int] = None,
 ) -> Optional[Triangle]:
     """Monochromatic triangle meeting P, Q, S with bounded part usage.
 
@@ -463,25 +446,37 @@ def three_part_mono_finder(
     S and at most two of each of P and Q.  Search follows the constructive
     strategy: dominating vertices of S partition P and Q by edge color and
     their classes are scanned for same-color edges; then transversal
-    triangles through S vertices are tried; finally the lexicographic scan of
-    monochromatic triangles inside P ∪ Q ∪ S (capped at `budget` triangles
-    examined when given) settles existence.  Every returned triangle is
-    re-validated, and with budget=None the answer matches exhaustive
-    enumeration.
+    triangles through S vertices are tried; finally the lexicographically
+    first qualifying triangle of the monochromatic triangles inside
+    P ∪ Q ∪ S settles existence.  Every returned triangle is re-validated,
+    and the answer matches exhaustive enumeration.
     """
     p_mask = mask_of(P)
     q_mask = mask_of(Q)
     s_mask = mask_of(S)
     if p_mask & q_mask or p_mask & s_mask or q_mask & s_mask:
         raise ValueError("P, Q, S must be pairwise disjoint")
-    beta = as_fraction(beta)
-    eps = as_fraction(eps)
+    return _three_part_triangle(
+        cg, p_mask, q_mask, s_mask, as_fraction(beta), as_fraction(eps), alpha_bound
+    )
 
+
+def _three_part_triangle(
+    cg: ColoredGraph,
+    p_mask: int,
+    q_mask: int,
+    s_mask: int,
+    beta: Fraction,
+    eps: Fraction,
+    alpha_bound: Optional[int] = None,
+) -> Optional[Triangle]:
+    # three_part_mono_finder on pairwise disjoint vertex masks
     tri = _dominating_path(cg, p_mask, q_mask, s_mask, beta, eps, alpha_bound)
     if tri is None:
         tri = _transversal_path(cg, p_mask, q_mask, s_mask)
     if tri is None:
-        tri = _enumeration_fallback(cg, p_mask, q_mask, s_mask, budget)
+        scan = scan_mono_triangles(cg, p_mask | q_mask | s_mask)
+        tri = next((t for t in scan if _qualifies(t, p_mask, q_mask, s_mask)), None)
     if tri is not None and not _qualifies(tri, p_mask, q_mask, s_mask):
         raise AssertionError("finder produced a triangle violating distribution")
     return tri
@@ -515,14 +510,12 @@ def _dominating_path(
                 continue
             picks += 1
             uncovered &= ~(red_class | blue_class)
-            for cls, adj in ((red_class, cg._red), (blue_class, cg._blue)):
+            for cls, adj, color in ((red_class, cg._red, RED), (blue_class, cg._blue, BLUE)):
                 if alpha_bound is not None and cls.bit_count() <= alpha_bound:
                     continue
                 edge = next(edges_inside(adj, cls), None)
                 if edge is not None:
-                    x, y = edge
-                    color = RED if adj is cg._red else BLUE
-                    return Triangle((u, x, y), color)
+                    return Triangle((u, *edge), color)
     return None
 
 
@@ -541,17 +534,6 @@ def _transversal_path(
                 if hit:
                     q = (hit & -hit).bit_length() - 1
                     return Triangle((v, p, q), color)
-    return None
-
-
-def _enumeration_fallback(
-    cg: ColoredGraph, p_mask: int, q_mask: int, s_mask: int, budget: Optional[int]
-) -> Optional[Triangle]:
-    # lexicographically first qualifying triangle; budget caps the
-    # monochromatic triangles examined
-    for tri in islice(scan_mono_triangles(cg, p_mask | q_mask | s_mask), budget):
-        if _qualifies(tri, p_mask, q_mask, s_mask):
-            return tri
     return None
 
 
@@ -574,16 +556,8 @@ def five_part_tiler(inst: FivePartInstance, eps) -> FivePartTilingResult:
     eps = as_fraction(eps)
     m = inst.m
     cg = inst.colored_graph
-    beta1 = min(
-        inst.pair_densities[(0, 1)],
-        inst.pair_densities[(1, 2)],
-        inst.pair_densities[(0, 2)],
-    )
-    beta2 = min(
-        inst.pair_densities[(0, 3)],
-        inst.pair_densities[(3, 4)],
-        inst.pair_densities[(0, 4)],
-    )
+    beta1 = min(inst.pair_densities[pair] for pair in BOWTIE_PAIRS[:3])
+    beta2 = min(inst.pair_densities[pair] for pair in BOWTIE_PAIRS[3:])
     used = 0
     triangles: list[Triangle] = []
 
@@ -591,13 +565,8 @@ def five_part_tiler(inst: FivePartInstance, eps) -> FivePartTilingResult:
         nonlocal used
         count = 0
         while True:
-            tri = three_part_mono_finder(
-                cg,
-                iter_bits(p_mask & ~used),
-                iter_bits(q_mask & ~used),
-                iter_bits(s_mask & ~used),
-                beta,
-                eps,
+            tri = _three_part_triangle(
+                cg, p_mask & ~used, q_mask & ~used, s_mask & ~used, beta, eps
             )
             if tri is None:
                 return count

@@ -631,12 +631,13 @@ RANDOM_ENTRY = {"kind": "random", "n": 7, "seeds": [1]}
 VERIFY = ("verify", "--instance", "{inst}", "--report", "{data}")
 EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
 GENERATE = ("generate", "--seed", "0", "--out", "{out}")
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 # argv (with {inst}, {empty}, {data}, {out}, {huge}, {plain} filled in), JSON
-# written to {data}, and a fragment the error message must contain.  {inst} is
-# an all-red triangle, {plain} the triangle as an uncolored graph, {empty} an
-# instance with no vertices and {huge} one whose header asks for 10**15
-# vertices.
+# written to {data} (a str is written as it is), and a fragment the error
+# message must contain.  {inst} is an all-red triangle, {plain} the triangle
+# as an uncolored graph, {empty} an instance with no vertices and {huge} one
+# whose header asks for 10**15 vertices.
 HOSTILE_INPUTS = [
     pytest.param(VERIFY, {"tiling": [["a", "b", "c", "r"]]}, "invalid tiling", id="verify-string-vertices"),
     pytest.param(VERIFY, {"tiling": [[0, 1, 2.5, "r"]]}, "invalid tiling", id="verify-float-vertex"),
@@ -690,6 +691,9 @@ HOSTILE_INPUTS = [
     pytest.param(GENERATE + ("--five-part", "--m", str(2**70)), None, "error: ", id="generate-five-part-oversized-m"),
     # on the plain triangle |W| = 9/2 - 5 + C = 2**70 + 3 and 3 + |W| is a multiple of 5
     pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", f"{2**71 + 7}/2"), None, "error: ", id="reduce-oversized-C"),
+    # raw text: JSON nested deeper than json.loads can recurse (json.dumps cannot write it)
+    pytest.param(VERIFY, DEEP_JSON, "nested too deeply", id="verify-deeply-nested-report"),
+    pytest.param(EXPERIMENT, DEEP_JSON, "nested too deeply", id="config-deeply-nested"),
 ]
 
 
@@ -705,7 +709,7 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
     paths["empty"].write_text("0 0\n")
     # a vertex count whose masks cannot be allocated at all
     paths["huge"].write_text("1000000000000000 0\n")
-    paths["data"].write_text(json.dumps(data))
+    paths["data"].write_text(data if isinstance(data, str) else json.dumps(data))
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert fragment in err

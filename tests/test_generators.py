@@ -239,6 +239,36 @@ class TestFivePartInstance:
             five_part_instance(0, 1.0, 0.5, seed=0)
 
 
+# extremal_sidecar text at seed 1 for shapes whose last part is short
+SIDECAR_PINS = {
+    (10, 6): (
+        "kind = extremal\nn = 10\ndelta_target = 6\nell = 3\nseed = 1\n"
+        "part_method = circulant_catalog\nachieved_min_degree = 7\n"
+        "part_sizes = 4 4 2\npart_of_vertex = 0 0 0 0 1 1 1 1 2 2\n"
+        "alpha_0 = 3 exact\nalpha_1 = 2 exact\nalpha_2 = 1 exact\n"
+        "certificate_0 = AvoidV1 bound=2 parts=0\n"
+        "certificate_1 = AvoidV1AndV3Budget bound=2 parts=1,2\n"
+    ),
+    (23, 20): (
+        "kind = extremal\nn = 23\ndelta_target = 20\nell = 8\nseed = 1\n"
+        "part_method = circulant_catalog\nachieved_min_degree = 21\n"
+        "part_sizes = 3 3 3 3 3 3 3 2\n"
+        "part_of_vertex = 0 0 0 1 1 1 2 2 2 3 3 3 4 4 4 5 5 5 6 6 6 7 7\n"
+        + "".join(f"alpha_{i} = 2 exact\n" for i in range(7))
+        + "alpha_7 = 1 exact\ncertificate_0 = AvoidV1 bound=6 parts=0\n"
+    ),
+    (43, 40): (
+        "kind = extremal\nn = 43\ndelta_target = 40\nell = 15\nseed = 1\n"
+        "part_method = circulant_catalog\nachieved_min_degree = 41\n"
+        "part_sizes = 3 3 3 3 3 3 3 3 3 3 3 3 3 3 1\n"
+        "part_of_vertex = 0 0 0 1 1 1 2 2 2 3 3 3 4 4 4 5 5 5 6 6 6 7 7 7 8 8 8 "
+        "9 9 9 10 10 10 11 11 11 12 12 12 13 13 13 14\n"
+        + "".join(f"alpha_{i} = 2 exact\n" for i in range(14))
+        + "alpha_14 = 1 exact\ncertificate_0 = AvoidV1 bound=13 parts=0\n"
+    ),
+}
+
+
 class TestSidecars:
     def test_extremal_sidecar_round_trip(self):
         inst = extremal_instance(31, 16, seed=1)
@@ -260,3 +290,7 @@ class TestSidecars:
     def test_parse_ignores_comments_and_blanks(self):
         meta = parse_sidecar("# note\n\na = 1\nb = two words\n")
         assert meta == {"a": "1", "b": "two words"}
+
+    @pytest.mark.parametrize("shape", SIDECAR_PINS, ids=lambda shape: "n%d-delta%d" % shape)
+    def test_pinned_extremal_sidecar(self, shape):
+        assert extremal_sidecar(extremal_instance(*shape, seed=1)) == SIDECAR_PINS[shape]

@@ -441,6 +441,25 @@ class TestClassification:
         with pytest.raises(CountIdentityViolatedError):
             classify_f2_copies(copies, frozenset({5, 6, 7, 8, 9}), 5, 3, 5)
 
+    def test_padding_count_mismatch_rejected(self):
+        # both copies use two padding vertices, and padding vertex 100 is in
+        # no copy
+        copies = (F2Copy(0, ((1, 5), (2, 6))), F2Copy(3, ((4, 7), (8, 9))))
+        with pytest.raises(CountIdentityViolatedError, match=r"2s \+ t = 4 but \|W\| = 5"):
+            classify_f2_copies(copies, [5, 6, 7, 8, 100], 5, 3, 0)
+
+    def test_padding_size_formula_rejected(self):
+        # |W| = 0, but (3/2)k - (5/2)delta + C = 5
+        copies = (F2Copy(0, ((1, 2), (3, 4))),)
+        with pytest.raises(CountIdentityViolatedError, match="inconsistent"):
+            classify_f2_copies(copies, [], 5, 3, 5)
+
+    def test_guarantee_rejected(self):
+        # |W| = 15/2 - 5 - 5/2 = 0 holds, but ell = 1 < 2*delta - k - C = 3/2
+        copies = (F2Copy(0, ((1, 2), (3, 4))),)
+        with pytest.raises(CountIdentityViolatedError, match="ell = 1 below the guaranteed 3/2"):
+            classify_f2_copies(copies, [], 5, 2, Fraction(-5, 2))
+
 
 class TestThreePartFinder:
     def qualifying_exists(self, cg, P, Q, S):
@@ -545,6 +564,54 @@ class TestThreePartFinder:
             )
 
 
+def tiling_words(tiling):
+    return " ".join("%d-%d-%d%s" % (*t.vertices, t.color) for t in tiling.triangles)
+
+
+# (m, density, seed) of five_part_instance at p_red = 1/2 and the tiler's eps
+# -> (phase1_count, phase2_count, target_reached, triangles as "a-b-c colour")
+FIVE_PART_PINS = {
+    ((3, 0.6, 0), Fraction(1, 25)): (0, 0, False, ""),
+    ((3, 0.6, 1), Fraction(1, 25)): (0, 1, False, "2-10-12b"),
+    ((3, 0.9, 0), Fraction(1, 25)): (1, 2, True, "0-9-12b 1-3-8b 2-10-14b"),
+    ((3, 0.9, 1), Fraction(1, 25)): (3, 0, True, "0-5-7r 1-4-6b 2-3-8r"),
+    ((8, 0.6, 0), Fraction(1, 25)): (
+        5, 3, True,
+        "0-11-20b 1-8-19b 2-25-34r 3-14-16b 4-13-17r 5-28-32r 6-26-33r 7-9-18r",
+    ),
+    ((8, 0.6, 1), Fraction(1, 25)): (
+        5, 3, True,
+        "0-8-16r 1-13-17r 2-24-38b 3-26-35b 4-10-20r 5-29-34r 6-14-18b 7-12-23r",
+    ),
+    ((8, 0.9, 0), Fraction(1, 25)): (
+        7, 0, True, "0-15-18r 1-12-16r 2-14-21r 3-9-19r 4-8-17r 5-10-22r 6-13-23r",
+    ),
+    ((8, 0.9, 1), Fraction(1, 25)): (
+        7, 0, True, "0-8-19r 1-10-18r 2-15-20r 3-11-16r 4-12-23b 5-9-21b 7-13-17b",
+    ),
+    ((12, 0.6, 0), Fraction(1, 25)): (
+        9, 3, True,
+        "0-16-34r 1-20-33b 2-13-26r 3-17-28r 4-18-25b 5-22-27r 6-23-24b "
+        "7-45-54r 8-15-31r 9-19-30b 10-46-50r 11-40-57r",
+    ),
+    ((12, 0.6, 1), Fraction(1, 25)): (
+        9, 2, True,
+        "0-21-31r 1-13-25r 2-16-24r 3-40-51r 4-14-35r 5-12-26b 6-23-34b "
+        "7-15-29b 8-22-27r 10-17-33r 11-36-49r",
+    ),
+    ((12, 0.9, 0), Fraction(1, 25)): (
+        11, 0, True,
+        "0-15-34r 1-13-31r 2-12-30r 3-14-25r 4-18-24r 5-19-35r 6-17-27r "
+        "7-16-26r 8-23-29r 9-20-28r 10-22-33b",
+    ),
+    ((12, 0.9, 1), Fraction(1, 25)): (
+        11, 0, True,
+        "0-13-28r 1-20-30r 2-12-25r 3-19-27r 4-14-34r 5-18-31r 6-15-26r "
+        "7-21-35r 8-17-29r 9-23-33r 10-22-32r",
+    ),
+}
+
+
 class TestFivePartTiler:
     @pytest.mark.parametrize("m", [3, 6])
     def test_complete_mono_blowup_reaches_m(self, m):
@@ -576,3 +643,13 @@ class TestFivePartTiler:
         for t in res.tiling.triangles:
             assert not used & t.mask
             used |= t.mask
+
+    @pytest.mark.parametrize(
+        "key", FIVE_PART_PINS, ids=lambda key: "m%d-d%s-seed%d-eps%s" % (*key[0], key[1])
+    )
+    def test_pinned_tiling(self, key):
+        (m, density, seed), eps = key
+        res = five_part_tiler(five_part_instance(m, density, 0.5, seed), eps)
+        assert (
+            res.phase1_count, res.phase2_count, res.target_reached, tiling_words(res.tiling)
+        ) == FIVE_PART_PINS[key]
