@@ -49,7 +49,6 @@ from .solver import (
 )
 from .regularity import (
     DominatingResult,
-    PairStats,
     RegularityWitness,
     density,
     dominating_greedy,

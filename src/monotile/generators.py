@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import BLUE, RED, ColoredGraph, Graph, build_colored_graph, enumerate_mono_triangles, mask_of
+from .graphs import BLUE, RED, ColoredGraph, Graph, build_colored_graph, mask_of
 from .independence import IndependenceResult, is_triangle_free, max_independent_set_exact
 from .rationals import rational_json
 
@@ -108,21 +108,6 @@ def random_coloring(g: Graph, p_red: float, seed: int) -> ColoredGraph:
         (u, v, RED if rng.random() < p_red else BLUE) for u, v in g.edges
     ]
     return build_colored_graph(g.n, edges)
-
-
-def random_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Graph:
-    """Random bipartite graph; left side is 0..n_left-1, right side follows."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
-    n = n_left + n_right
-    adj = [0] * n
-    for u in range(n_left):
-        for v in range(n_left, n):
-            if rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph._from_adj(n, adj)
 
 
 @dataclass(frozen=True)
@@ -242,30 +227,6 @@ def extremal_instance(
     )
 
 
-def verify_certificate_premises(inst: ExtremalInstance) -> bool:
-    """Exhaustively recheck what the certificates assert about triangles."""
-    v1 = inst.part_mask(0)
-    triangles = enumerate_mono_triangles(inst.colored_graph)
-    if any(t.mask & v1 for t in triangles):
-        return False
-    for cert in inst.certificates:
-        if cert.kind == AVOID_V1:
-            if cert.bound != (inst.n - len(inst.parts[0])) // 3:
-                return False
-        elif cert.kind == AVOID_V1_V3:
-            budget_part, capacity_part = cert.parts[1], cert.parts[0]
-            v3 = inst.part_mask(budget_part)
-            if cert.bound != len(inst.parts[budget_part]):
-                return False
-            if 2 * len(inst.parts[budget_part]) > len(inst.parts[capacity_part]):
-                return False
-            if any(not (t.mask & v3) for t in triangles):
-                return False
-        else:
-            return False
-    return True
-
-
 @dataclass
 class FivePartInstance:
     """Five parts of size m with the six bowtie pairs randomly filled."""
@@ -325,19 +286,6 @@ def five_part_instance(
 def sidecar_text(entries: list[tuple[str, str]]) -> str:
     lines = [f"{key} = {value}" for key, value in entries]
     return "\n".join(lines) + "\n"
-
-
-def parse_sidecar(text: str) -> dict[str, str]:
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"sidecar line {lineno}: expected `key = value`")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def extremal_sidecar(inst: ExtremalInstance) -> str:

@@ -8,7 +8,7 @@ and colorings are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 RED = "r"
@@ -119,9 +119,6 @@ class Graph:
     def neighbors_mask(self, v: int) -> int:
         return self._adj[v]
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._adj[v]))
-
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
@@ -141,10 +138,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
@@ -283,12 +276,6 @@ class ColoredGraph:
             raise GraphError(f"no edge ({u}, {v})")
         return RED if self._red[u] >> v & 1 else BLUE
 
-    @property
-    def colored_edges(self) -> tuple[tuple[int, int, str], ...]:
-        return tuple(
-            (u, v, RED if self._red[u] >> v & 1 else BLUE) for u, v in self.graph.edges
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColoredGraph) and self.graph == other.graph and self._red == other._red
@@ -412,14 +399,6 @@ def triangle_color(cg: ColoredGraph, a, b, c) -> Optional[str]:
     return RED if reds == 3 else BLUE if reds == 0 else MIXED
 
 
-def triangle_in(cg: ColoredGraph, a: int, b: int, c: int) -> Triangle:
-    """Triangle record for an actual triangle of cg, color computed from edges."""
-    color = triangle_color(cg, a, b, c)
-    if color is None:
-        raise GraphError(f"({a},{b},{c}) is not a triangle of the graph")
-    return Triangle((a, b, c), color)
-
-
 def scan_mono_pairs(
     cg: ColoredGraph, live: Optional[int] = None
 ) -> Iterator[tuple[int, int, str, int]]:
@@ -452,9 +431,9 @@ def scan_mono_triangles(cg: ColoredGraph, live: Optional[int] = None) -> Iterato
             yield _scanned_triangle((u, v, w), color)
 
 
-def enumerate_mono_triangles(cg: ColoredGraph, limit: Optional[int] = None) -> list[Triangle]:
-    """All (or the first limit) monochromatic triangles, canonical order."""
-    return list(islice(scan_mono_triangles(cg), limit))
+def enumerate_mono_triangles(cg: ColoredGraph) -> list[Triangle]:
+    """All monochromatic triangles, canonical order."""
+    return list(scan_mono_triangles(cg))
 
 
 def first_mono_triangle(cg: ColoredGraph, live: Optional[int] = None) -> Optional[Triangle]:

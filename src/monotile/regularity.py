@@ -51,19 +51,6 @@ def density(g: Graph, X: Iterable[int], Y: Iterable[int]) -> Fraction:
 
 
 @dataclass(frozen=True)
-class PairStats:
-    A: frozenset[int]
-    B: frozenset[int]
-    density: Fraction
-    eps: Fraction
-
-
-def pair_stats(g: Graph, A: Iterable[int], B: Iterable[int], eps) -> PairStats:
-    A, B = frozenset(A), frozenset(B)
-    return PairStats(A, B, density(g, A, B), as_fraction(eps))
-
-
-@dataclass(frozen=True)
 class RegularityWitness:
     """Certified violation: large sub-pair whose density strays beyond eps."""
 

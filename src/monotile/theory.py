@@ -261,6 +261,8 @@ class F2Copy:
         object.__setattr__(self, "wings", tuple(sorted(wings)))
         if len(self.vertex_set) != 5:
             raise ValueError(f"bowtie vertices not distinct: {self}")
+        if min(self.vertex_set) < 0:
+            raise ValueError(f"negative vertex {min(self.vertex_set)} in bowtie {self}")
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -456,9 +458,16 @@ def three_part_mono_finder(
     s_mask = mask_of(S)
     if p_mask & q_mask or p_mask & s_mask or q_mask & s_mask:
         raise ValueError("P, Q, S must be pairwise disjoint")
-    return _three_part_triangle(
-        cg, p_mask, q_mask, s_mask, as_fraction(beta), as_fraction(eps), alpha_bound
-    )
+    h = _pick_count(as_fraction(beta), as_fraction(eps))
+    return _three_part_triangle(cg, p_mask, q_mask, s_mask, h, alpha_bound)
+
+
+def _pick_count(beta: Fraction, eps: Fraction) -> Optional[int]:
+    # the dominating path's pick count h, or None for degenerate parameters
+    try:
+        return t_bound(beta - eps, eps)
+    except DegenerateParametersError:
+        return None
 
 
 def _three_part_triangle(
@@ -466,12 +475,12 @@ def _three_part_triangle(
     p_mask: int,
     q_mask: int,
     s_mask: int,
-    beta: Fraction,
-    eps: Fraction,
+    h: Optional[int],
     alpha_bound: Optional[int] = None,
 ) -> Optional[Triangle]:
-    # three_part_mono_finder on pairwise disjoint vertex masks
-    tri = _dominating_path(cg, p_mask, q_mask, s_mask, beta, eps, alpha_bound)
+    # three_part_mono_finder on pairwise disjoint vertex masks, with the pick
+    # count h from _pick_count
+    tri = _dominating_path(cg, p_mask, q_mask, s_mask, h, alpha_bound)
     if tri is None:
         tri = _transversal_path(cg, p_mask, q_mask, s_mask)
     if tri is None:
@@ -487,16 +496,13 @@ def _dominating_path(
     p_mask: int,
     q_mask: int,
     s_mask: int,
-    beta: Fraction,
-    eps: Fraction,
+    h: Optional[int],
     alpha_bound: Optional[int],
 ) -> Optional[Triangle]:
     # pick up to h dominating vertices of S; their red/blue classes inside P
     # (then Q) are scanned for a same-color edge, closing a triangle with the
-    # dominating vertex
-    try:
-        h = t_bound(beta - eps, eps)
-    except DegenerateParametersError:
+    # dominating vertex; no h (degenerate parameters) skips the path
+    if h is None:
         return None
     for side_mask in (p_mask, q_mask):
         uncovered = side_mask
@@ -563,11 +569,10 @@ def five_part_tiler(inst: FivePartInstance, eps) -> FivePartTilingResult:
 
     def run_phase(s_mask: int, p_mask: int, q_mask: int, beta: Fraction) -> int:
         nonlocal used
+        h = _pick_count(beta, eps)
         count = 0
         while True:
-            tri = _three_part_triangle(
-                cg, p_mask & ~used, q_mask & ~used, s_mask & ~used, beta, eps
-            )
+            tri = _three_part_triangle(cg, p_mask & ~used, q_mask & ~used, s_mask & ~used, h)
             if tri is None:
                 return count
             triangles.append(tri)

@@ -7,10 +7,12 @@ freeze these answers against the optimized implementations on small inputs.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
+from monotile.generators import AVOID_V1, AVOID_V1_V3, ExtremalInstance
 from monotile.graphs import (
     BLUE,
     RED,
@@ -18,6 +20,7 @@ from monotile.graphs import (
     Graph,
     Triangle,
     build_colored_graph,
+    enumerate_mono_triangles,
 )
 
 
@@ -47,6 +50,65 @@ def dump_colored(g) -> str:
     else:
         lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
+
+
+def colored_edges(cg: ColoredGraph) -> tuple[tuple[int, int, str], ...]:
+    """(u, v, color) for each edge u < v, in lexicographic order."""
+    return tuple((u, v, cg.color_of(u, v)) for u, v in cg.graph.edges)
+
+
+def random_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Graph:
+    """Random bipartite graph; left side is 0..n_left-1, right side follows."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    rng = random.Random(seed)
+    n = n_left + n_right
+    adj = [0] * n
+    for u in range(n_left):
+        for v in range(n_left, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph._from_adj(n, adj)
+
+
+def verify_certificate_premises(inst: ExtremalInstance) -> bool:
+    """Exhaustively recheck what the certificates assert about triangles."""
+    v1 = inst.part_mask(0)
+    triangles = enumerate_mono_triangles(inst.colored_graph)
+    if any(t.mask & v1 for t in triangles):
+        return False
+    for cert in inst.certificates:
+        if cert.kind == AVOID_V1:
+            if cert.bound != (inst.n - len(inst.parts[0])) // 3:
+                return False
+        elif cert.kind == AVOID_V1_V3:
+            budget_part, capacity_part = cert.parts[1], cert.parts[0]
+            v3 = inst.part_mask(budget_part)
+            if cert.bound != len(inst.parts[budget_part]):
+                return False
+            if 2 * len(inst.parts[budget_part]) > len(inst.parts[capacity_part]):
+                return False
+            if any(not (t.mask & v3) for t in triangles):
+                return False
+        else:
+            return False
+    return True
+
+
+def parse_sidecar(text: str) -> dict[str, str]:
+    """The `key = value` lines of a sidecar as a dict; comments and blank
+    lines are skipped."""
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"sidecar line {lineno}: expected `key = value`")
+        out[key.strip()] = value.strip()
+    return out
 
 
 def max_packing_size(triangles: list[Triangle]) -> int:

@@ -13,7 +13,6 @@ from monotile.generators import (
     complete_graph,
     extremal_instance,
     five_part_instance,
-    random_bipartite,
     random_coloring,
 )
 from monotile.graphs import (
@@ -159,7 +158,7 @@ def test_criterion_05_greedy_domination_covers_fast():
     passing = 0
     flagged_in_passing = 0
     for seed in range(200):
-        g = random_bipartite(400, 400, 0.5, seed)
+        g = oracles.random_bipartite(400, 400, 0.5, seed)
         res = dominating_greedy(
             g, range(400), range(400, 800), Fraction(1, 2), Fraction(1, 10)
         )

@@ -22,7 +22,7 @@ import pytest
 
 from monotile import cli, solver
 from monotile.cli import CSV_COLUMNS, build_parser, run_cli
-from monotile.generators import circulant, extremal_instance, parse_sidecar
+from monotile.generators import circulant, extremal_instance
 from monotile.graphio import dump_colored_graph, dump_graph, load_colored_graph
 from monotile.rationals import rational_json
 from monotile.solver import bound_table
@@ -142,7 +142,7 @@ class TestGenerate:
         )
         assert code == 0
         assert out.exists()
-        meta = parse_sidecar((tmp_path / "inst.edges.meta").read_text())
+        meta = oracles.parse_sidecar((tmp_path / "inst.edges.meta").read_text())
         assert meta["kind"] == "extremal"
         assert meta["n"] == "31"
         assert meta["part_sizes"] == "15 15 1"
@@ -164,7 +164,7 @@ class TestGenerate:
             "--out", str(out),
         )
         assert code == 0
-        assert parse_sidecar((tmp_path / "c.edges.meta").read_text())["kind"] == "extremal"
+        assert oracles.parse_sidecar((tmp_path / "c.edges.meta").read_text())["kind"] == "extremal"
 
     def test_generated_instance_round_trips(self, tmp_path, capsys):
         out = tmp_path / "inst.edges"
@@ -173,7 +173,7 @@ class TestGenerate:
             "--seed", "5", "--out", str(out),
         )
         cg = load_colored_graph(out.read_text())
-        meta = parse_sidecar((tmp_path / "inst.edges.meta").read_text())
+        meta = oracles.parse_sidecar((tmp_path / "inst.edges.meta").read_text())
         assert cg.n == 30
         assert cg.graph.min_degree() == int(meta["achieved_min_degree"])
 
@@ -187,7 +187,7 @@ class TestGenerate:
         cg = load_colored_graph(out.read_text())
         assert cg.n == 9
         assert cg.graph.num_edges == 36
-        meta = parse_sidecar((tmp_path / "r.edges.meta").read_text())
+        meta = oracles.parse_sidecar((tmp_path / "r.edges.meta").read_text())
         assert meta["kind"] == "random_complete"
         assert meta["seed"] == "7"
 
@@ -200,7 +200,7 @@ class TestGenerate:
         assert code == 0
         cg = load_colored_graph(out.read_text())
         assert cg.n == 20
-        meta = parse_sidecar((tmp_path / "f.edges.meta").read_text())
+        meta = oracles.parse_sidecar((tmp_path / "f.edges.meta").read_text())
         assert meta["kind"] == "five_part"
         assert meta["pair_density_0_1"] == "1"  # complete blowup at density 1.0
         # densities exist exactly for the six adjacent part pairs of the
@@ -691,6 +691,8 @@ HOSTILE_INPUTS = [
     pytest.param(GENERATE + ("--five-part", "--m", str(2**70)), None, "error: ", id="generate-five-part-oversized-m"),
     # on the plain triangle |W| = 9/2 - 5 + C = 2**70 + 3 and 3 + |W| is a multiple of 5
     pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", f"{2**71 + 7}/2"), None, "error: ", id="reduce-oversized-C"),
+    # on the plain triangle |W| = 9/2 - 5 + 1/2 = 0, so the padded order is 3
+    pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", "1/2"), None, "padded order 3 is not divisible by 5", id="reduce-padded-order-not-divisible"),
     # raw text: JSON nested deeper than json.loads can recurse (json.dumps cannot write it)
     pytest.param(VERIFY, DEEP_JSON, "nested too deeply", id="verify-deeply-nested-report"),
     pytest.param(EXPERIMENT, DEEP_JSON, "nested too deeply", id="config-deeply-nested"),
@@ -840,7 +842,7 @@ class TestParserReuse:
         for i, (flags, (kind, p_red)) in enumerate(calls):
             out = tmp_path / f"{i}.edges"
             assert run(capsys, "generate", *flags, "--seed", "0", "--out", str(out))[0] == 0
-            meta = parse_sidecar((tmp_path / f"{i}.edges.meta").read_text())
+            meta = oracles.parse_sidecar((tmp_path / f"{i}.edges.meta").read_text())
             assert (meta["kind"], meta.get("p_red")) == (kind, p_red)
 
     def test_usage_error_then_valid_call(self, capsys):

@@ -45,13 +45,13 @@ class TestRoundTrip:
         cg = build_colored_graph(9, edges)
         back = load_colored_graph(dump_colored_graph(cg))
         assert back.graph == cg.graph
-        assert back.colored_edges == cg.colored_edges
+        assert back == cg
 
     def test_edgeless_colored_graph(self):
         cg = build_colored_graph(5, [])
         back = load_colored_graph(dump_colored_graph(cg))
         assert back.graph.n == 5
-        assert back.colored_edges == ()
+        assert back == cg
 
     def test_dump_is_deterministic(self):
         g = random_graph(10, 0.5, seed=0)
@@ -106,7 +106,7 @@ def outcome(read, text):
     except Exception as exc:  # the table pins the type, whatever it is
         return type(exc).__name__, str(exc)
     if isinstance(g, ColoredGraph):
-        return "colored", g.n, g.colored_edges
+        return "colored", g.n, oracles.colored_edges(g)
     return "plain", g.n, g.edges
 
 

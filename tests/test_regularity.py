@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from monotile.generators import random_bipartite
 from monotile.graphs import Graph
 from monotile import regularity
 from monotile.rationals import as_fraction
@@ -16,7 +15,6 @@ from monotile.regularity import (
     OverlappingSidesError,
     density,
     dominating_greedy,
-    pair_stats,
     reduced_min_degree_bound,
     regularity_refuter,
     t_bound,
@@ -24,6 +22,7 @@ from monotile.regularity import (
 )
 
 import oracles
+from oracles import random_bipartite
 
 
 def bipartite_from_pairs(n: int, pairs) -> Graph:
@@ -49,12 +48,9 @@ class TestDensity:
         with pytest.raises(OverlappingSidesError):
             density(g, [0, 1], [1, 2])
 
-    def test_pair_stats_carries_exact_values(self):
-        g = bipartite_from_pairs(4, [(0, 2), (1, 3)])
-        st = pair_stats(g, [0, 1], [2, 3], Fraction(1, 4))
-        assert st.density == Fraction(1, 2)
-        assert st.eps == Fraction(1, 4)
-        assert st.A == frozenset((0, 1))
+    def test_vertex_outside_graph_rejected(self):
+        with pytest.raises(ValueError, match="side contains a vertex outside the graph"):
+            density(Graph(4, []), [0], [7])
 
 
 class TestRefuter:

@@ -595,6 +595,15 @@ class TestPeel:
         assert res.window_ok is None
         assert res.residual_order == 5
 
+    def test_red_triangle_peels_to_nothing(self):
+        cg = build_colored_graph(3, [(0, 1, RED), (0, 2, RED), (1, 2, RED)])
+        res = peel_to_three_fifths(cg)
+        assert res.tiling.triangles == (Triangle((0, 1, 2), RED),)
+        assert res.reason == "no_mono_triangle"
+        assert res.window_ok is None
+        assert res.residual_order == 0
+        assert res.residual_min_degree is None
+
     def test_sparse_input_stops_immediately(self):
         cg = build_colored_graph(6, [(0, 1, RED)])
         res = peel_to_three_fifths(cg)

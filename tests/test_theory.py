@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from monotile import theory
 from monotile.errors import ParameterOutOfRangeError
 from monotile.generators import (
     circulant,
@@ -14,6 +15,7 @@ from monotile.generators import (
     random_coloring,
 )
 from monotile.graphs import BLUE, RED, Graph, build_colored_graph
+from monotile.regularity import t_bound
 from monotile.theory import (
     ArithmeticConstraintViolatedError,
     CountIdentityViolatedError,
@@ -212,6 +214,11 @@ class TestAuxiliaryReduction:
         with pytest.raises(ArithmeticConstraintViolatedError):
             auxiliary_reduction(g, Fraction(1, 3), 0)
 
+    def test_padded_order_not_divisible_by_5(self):
+        # the 5-cycle: |W| = 15/2 - 5 + 1/2 = 3 is an integer, but 5 + 3 = 8
+        with pytest.raises(ArithmeticConstraintViolatedError, match="padded order 8 is not divisible by 5"):
+            auxiliary_reduction(circulant(5, (1,)), Fraction(1, 2))
+
     def test_hypothesis_flag_false_when_padding_starves(self):
         # k=20 with delta=11 forces |W|=15 and a 35-vertex auxiliary graph
         # whose padded degree min(20, 11+15)=20 misses the (3/5)*35 = 21
@@ -392,6 +399,12 @@ class TestF2Copy:
         with pytest.raises(ValueError):
             F2Copy(0, ((1, 2), (2, 3)))
 
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(ValueError, match="negative vertex -1"):
+            F2Copy(-1, ((1, 2), (3, 4)))
+        with pytest.raises(ValueError, match="negative vertex -4"):
+            F2Copy(0, ((1, 2), (3, -4)))
+
 
 class TestClassification:
     @pytest.mark.parametrize("k", [20, 25])
@@ -546,6 +559,27 @@ class TestThreePartFinder:
         assert tri is not None
         assert tri.color == RED
 
+    def test_degenerate_parameters_take_the_transversal_path(self):
+        # beta = eps leaves no pick count, so the dominating path, which
+        # would close (0, 3, 4) inside P's red class, is skipped
+        cg = random_coloring(complete_graph(9), 1.0, seed=0)
+        P, Q, S = range(3, 6), range(6, 9), range(3)
+        tri = three_part_mono_finder(cg, P, Q, S, Fraction(1, 10), Fraction(1, 10))
+        assert (tri.vertices, tri.color) == ((0, 3, 6), RED)
+        tri = three_part_mono_finder(cg, P, Q, S, Fraction(1, 2), Fraction(1, 10))
+        assert (tri.vertices, tri.color) == ((0, 3, 4), RED)
+
+    def test_alpha_premise_changes_the_answer(self):
+        # vertex 0's red class inside P is the edge 12; with alpha_bound 2 a
+        # class of two vertices is skipped and the transversal 0-1-3 is found
+        edges = [(0, 1, RED), (0, 2, RED), (1, 2, RED), (0, 3, RED), (1, 3, RED)]
+        cg = build_colored_graph(5, edges)
+        beta, eps = Fraction(1, 2), Fraction(1, 100)
+        tri = three_part_mono_finder(cg, [1, 2], [3, 4], [0], beta, eps)
+        assert (tri.vertices, tri.color) == ((0, 1, 2), RED)
+        tri = three_part_mono_finder(cg, [1, 2], [3, 4], [0], beta, eps, alpha_bound=2)
+        assert (tri.vertices, tri.color) == ((0, 1, 3), RED)
+
     def test_none_without_mono_triangle(self):
         edges = [(u, v, RED) for u in range(4) for v in range(4, 8)]
         cg = build_colored_graph(8, edges)
@@ -643,6 +677,18 @@ class TestFivePartTiler:
         for t in res.tiling.triangles:
             assert not used & t.mask
             used |= t.mask
+
+    def test_pick_count_computed_once_per_phase(self, monkeypatch):
+        calls = []
+
+        def counted(d, eps):
+            calls.append((d, eps))
+            return t_bound(d, eps)
+
+        monkeypatch.setattr(theory, "t_bound", counted)
+        res = five_part_tiler(five_part_instance(8, 0.6, 0.5, 0), Fraction(1, 25))
+        assert res.phase1_count > 1 and res.phase2_count > 0
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "key", FIVE_PART_PINS, ids=lambda key: "m%d-d%s-seed%d-eps%s" % (*key[0], key[1])
