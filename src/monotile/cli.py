@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -73,65 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-@dataclass
-class ExperimentConfig:
-    """Seeded sweep description loaded from a JSON config file."""
-
-    instances: list[dict]
-    modes: list[str]
-    budget: Optional[int]
-    gamma: Fraction
-    part_method: Optional[str]
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        raw = _read_json(path)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        instances = raw.get("instances")
-        if not isinstance(instances, list) or not instances:
-            raise ValueError("config needs a nonempty `instances` list")
-        for entry in instances:
-            if not isinstance(entry, dict):
-                raise ValueError(f"instance entries must be objects, got {entry!r}")
-            kind = entry.get("kind", "extremal")
-            if kind not in ("extremal", "random"):
-                raise ValueError(f"unknown instance kind {kind!r}")
-            seeds = entry.get("seeds")
-            if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
-                raise ValueError("every instance entry needs explicit integer `seeds`")
-            for key in ("n", "delta") if kind == "extremal" else ("n",):
-                if type(entry.get(key)) is not int:
-                    raise ValueError(f"{kind} entries need an integer `{key}`")
-            if entry["n"] < 1:
-                raise ValueError(f"{kind} entries need `n` >= 1, got {entry['n']}")
-            p_red = entry.get("p_red")
-            if p_red is not None and type(p_red) not in (int, float):
-                raise ValueError(f"`p_red` must be a number, got {p_red!r}")
-        modes = raw.get("modes", [WEAK])
-        if not isinstance(modes, list):
-            raise ValueError(f"`modes` must be a list, got {modes!r}")
-        for mode in modes:
-            if mode not in MODES:
-                raise ValueError(f"bad mode {mode!r} in config")
-        budget = raw.get("budget")
-        if budget is not None and (type(budget) is not int or budget < 0):
-            raise ValueError(f"`budget` must be an integer >= 0 or null, got {budget!r}")
-        try:
-            gamma = _rational(raw.get("gamma", 0))
-        except (TypeError, argparse.ArgumentTypeError):
-            raise ValueError(f"`gamma` must be a number, got {raw['gamma']!r}") from None
-        if gamma < 0:
-            raise ValueError(f"need gamma >= 0, got {raw['gamma']!r}")
-        return cls(
-            instances=instances,
-            modes=list(modes),
-            budget=budget,
-            gamma=gamma,
-            part_method=raw.get("part_method"),
-        )
-
-
 def _read_json(path: str):
     """The JSON value in the file at path; JSON nested deeper than the parser
     can recurse is a ValueError like any other malformed file."""
@@ -186,15 +126,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="run", metavar="command", required=True)
 
     gen = sub.add_parser("generate", help="write an instance file plus metadata sidecar")
-    gen.add_argument("--kind", choices=("extremal", "random", "five-part"))
+    kinds = gen.add_mutually_exclusive_group()
     for kind in ("extremal", "random", "five-part"):
-        gen.add_argument(
-            f"--{kind}",
-            dest="kind",
-            action="store_const",
-            const=kind,
-            help=f"shorthand for --kind {kind}",
-        )
+        kinds.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
     gen.add_argument("--n", type=int)
     gen.add_argument("--delta", type=int)
     gen.add_argument("--m", type=int)
@@ -203,7 +137,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--part-method")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(run=_cmd_generate)
+    gen.set_defaults(run=_cmd_generate, kind="extremal")
 
     sol = sub.add_parser("solve", help="solve an instance file and write a JSON report")
     sol.add_argument("--instance", required=True)
@@ -316,25 +250,25 @@ def _instance(
     p_red = 0.5 if p_red is None else p_red
     if kind == "extremal":
         if n is None or delta is None:
-            raise UsageError("generate --kind extremal needs --n and --delta")
+            raise UsageError("generate --extremal needs --n and --delta")
         method = "circulant_catalog" if part_method is None else part_method
         inst = extremal_instance(n, delta, method, seed)
         return inst.colored_graph, extremal_sidecar(inst)
     if kind == "random":
         if n is None:
-            raise UsageError("generate --kind random needs --n")
+            raise UsageError("generate --random needs --n")
         cg = random_coloring(complete_graph(n), p_red, seed)
         meta = {"kind": "random_complete", "n": n, "p_red": p_red, "seed": seed}
         return cg, sidecar_text([(key, str(value)) for key, value in meta.items()])
     if m is None:
-        raise UsageError("generate --kind five-part needs --m")
+        raise UsageError("generate --five-part needs --m")
     inst = five_part_instance(m, 1.0 if density is None else density, p_red, seed)
     return inst.colored_graph, five_part_sidecar(inst)
 
 
 def _cmd_generate(args) -> int:
     cg, meta = _instance(
-        args.kind or "extremal", args.seed, args.n, args.delta, args.m,
+        args.kind, args.seed, args.n, args.delta, args.m,
         args.density, args.p_red, args.part_method,
     )
     out = Path(args.out)
@@ -455,13 +389,59 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _read_config(
+    path: str,
+) -> tuple[list[dict], list[str], Optional[int], Fraction, Optional[str]]:
+    """A seeded sweep's (instances, modes, budget, gamma, part_method), read
+    from the JSON config file at path and checked field by field."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    instances = raw.get("instances")
+    if not isinstance(instances, list) or not instances:
+        raise ValueError("config needs a nonempty `instances` list")
+    for entry in instances:
+        if not isinstance(entry, dict):
+            raise ValueError(f"instance entries must be objects, got {entry!r}")
+        kind = entry.get("kind", "extremal")
+        if kind not in ("extremal", "random"):
+            raise ValueError(f"unknown instance kind {kind!r}")
+        seeds = entry.get("seeds")
+        if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
+            raise ValueError("every instance entry needs explicit integer `seeds`")
+        for key in ("n", "delta") if kind == "extremal" else ("n",):
+            if type(entry.get(key)) is not int:
+                raise ValueError(f"{kind} entries need an integer `{key}`")
+        if entry["n"] < 1:
+            raise ValueError(f"{kind} entries need `n` >= 1, got {entry['n']}")
+        p_red = entry.get("p_red")
+        if p_red is not None and type(p_red) not in (int, float):
+            raise ValueError(f"`p_red` must be a number, got {p_red!r}")
+    modes = raw.get("modes", [WEAK])
+    if not isinstance(modes, list):
+        raise ValueError(f"`modes` must be a list, got {modes!r}")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"bad mode {mode!r} in config")
+    budget = raw.get("budget")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"`budget` must be an integer >= 0 or null, got {budget!r}")
+    try:
+        gamma = _rational(raw.get("gamma", 0))
+    except (TypeError, argparse.ArgumentTypeError):
+        raise ValueError(f"`gamma` must be a number, got {raw['gamma']!r}") from None
+    if gamma < 0:
+        raise ValueError(f"need gamma >= 0, got {raw['gamma']!r}")
+    return instances, modes, budget, gamma, raw.get("part_method")
+
+
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    instances, modes, budget, gamma, part_method = _read_config(args.config)
     # build (so the generators check) every instance before the CSV is opened
     runs = [
         (seed, _instance(entry.get("kind", "extremal"), seed, entry["n"], entry.get("delta"),
-                         p_red=entry.get("p_red"), part_method=config.part_method)[0])
-        for entry in config.instances for seed in entry["seeds"]
+                         p_red=entry.get("p_red"), part_method=part_method)[0])
+        for entry in instances for seed in entry["seeds"]
     ]
     out = Path(args.out)
     write_header = not out.exists() or out.stat().st_size == 0
@@ -470,8 +450,8 @@ def _cmd_experiment(args) -> int:
         if write_header:
             writer.writerow(CSV_COLUMNS)
         for seed, cg in runs:
-            for mode in config.modes:
-                report = _solve(cg, mode, config.gamma, config.budget)
+            for mode in modes:
+                report = _solve(cg, mode, gamma, budget)
                 bounds = report["bounds"]  # csv writes a None bound as ""
                 writer.writerow([
                     report["n"], report["delta"], seed, mode, report["size"],

@@ -361,10 +361,6 @@ def _local_search(index: _Index, searched: int, iters: int, seed: int, most: int
             blocked |= hits[a] | hits[b] | hits[c]
         return searched & ~blocked
 
-    def pool(sel: list[int], pos: int) -> int:
-        # The ids that can take the place of sel[pos], other than sel[pos].
-        return free(sel[:pos] + sel[pos + 1 :]) & ~(1 << sel[pos])
-
     def swap(sel: list[int]) -> bool:
         # (1,2)-swap in place: the first position whose pool holds two
         # disjoint ids gives way to the lexicographically first such pair.
@@ -402,7 +398,8 @@ def _local_search(index: _Index, searched: int, iters: int, seed: int, most: int
         if len(best) == most:
             break
         pos = rng.randrange(len(current))
-        live = pool(current, pos)
+        # the ids that can take the place of current[pos], other than it
+        live = free(current[:pos] + current[pos + 1 :]) & ~(1 << current[pos])
         if not live:
             continue
         current[pos] = rng.choice(list(iter_bits(live)))

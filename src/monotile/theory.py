@@ -10,9 +10,9 @@ The bowtie packer runs on `graphs.DepthFirst`, which draws each node's
 children lazily: a vertex of a dense auxiliary graph can lie in hundreds of
 thousands of bowties, far more than the nodes a budgeted search expands.  A
 child is a vertex mask and a (center, wing, wing) tuple; `F2Copy` records
-are built only for the packing returned.  `_f2_children` stays a generator
-function: it binds each node's free and chosen masks when the node's
-iterator is made.
+are built only for the packing returned.  `_copies_through` yields the child
+nodes itself and stays a generator function: it binds each node's free mask
+and chosen list when the node's iterator is made.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
@@ -31,6 +32,7 @@ from .graphs import (
     ColoredGraph,
     DepthFirst,
     Graph,
+    GraphError,
     Tiling,
     Triangle,
     edges_inside,
@@ -126,8 +128,6 @@ def _class_size_multisets(h: Graph, chi: int) -> set[tuple[int, ...]]:
             if len(classes) == chi:
                 found.add(tuple(sorted(c.bit_count() for c in classes)))
             return
-        if len(classes) + (n - v) < chi:
-            return
         bit = 1 << v
         for i, cls in enumerate(classes):
             if cls & adj[v] == 0:
@@ -214,7 +214,7 @@ def auxiliary_reduction(r: Graph, C, c_f2=0) -> AuxReduction:
 
     |W| = (3/2)k - (5/2)delta + C must be a nonnegative integer and the
     padded order must be divisible by 5, else the arithmetic constraint
-    error is raised.
+    error is raised; a padding too large to allocate is a GraphError.
     """
     C = as_fraction(C)
     c_f2 = as_fraction(c_f2)
@@ -231,8 +231,11 @@ def auxiliary_reduction(r: Graph, C, c_f2=0) -> AuxReduction:
         raise ArithmeticConstraintViolatedError(
             f"padded order {total} is not divisible by 5"
         )
-    w_block = ((1 << w) - 1) << k
-    adj = [r.neighbors_mask(v) | w_block for v in range(k)] + [(1 << k) - 1] * w
+    try:
+        w_block = ((1 << w) - 1) << k
+        adj = [r.neighbors_mask(v) | w_block for v in range(k)] + [(1 << k) - 1] * w
+    except (MemoryError, OverflowError):
+        raise GraphError(f"padded order {total} is too large") from None
     aux = Graph._from_adj(total, adj)
     aux_delta = aux.min_degree()
     hypothesis_ok = Fraction(aux_delta) >= Fraction(3, 5) * total + c_f2
@@ -286,24 +289,27 @@ class F2TilingResult:
 _Bowtie = tuple[int, tuple[int, int], tuple[int, int]]  # (center, wing, wing)
 
 
-def _copies_through(adj: list[int], v: int, avail: int) -> Iterator[tuple[int, _Bowtie]]:
-    # (five-vertex mask, bowtie) for each bowtie using v inside avail, once each
+def _copies_through(
+    adj: list[int], v: int, free: int, chosen: list[_Bowtie]
+) -> Iterator[tuple[int, list[_Bowtie]]]:
+    # the child (free minus the copy, chosen plus the copy) for each bowtie
+    # using v inside free, once each
     bit = 1 << v
-    rest = avail & ~bit
+    rest = free & ~bit
     # v as center: two disjoint edges inside N(v)
     wing_edges = list(edges_inside(adj, adj[v] & rest))
     for i, (a, b) in enumerate(wing_edges):
         pair_mask = 1 << a | 1 << b
         for c, d in wing_edges[i + 1 :]:
             if pair_mask & (1 << c | 1 << d) == 0:
-                yield bit | pair_mask | 1 << c | 1 << d, (v, (a, b), (c, d))
+                yield rest & ~(pair_mask | 1 << c | 1 << d), chosen + [(v, (a, b), (c, d))]
     # v in a wing: partner b, center c adjacent to both, other wing avoiding all
     for b in iter_bits(adj[v] & rest):
         pair_mask = bit | 1 << b
         for c in iter_bits(adj[v] & adj[b] & rest & ~pair_mask):
             others = adj[c] & rest & ~pair_mask & ~(1 << c)
             for d, e in edges_inside(adj, others):
-                yield pair_mask | 1 << c | 1 << d | 1 << e, (c, (v, b), (d, e))
+                yield free & ~(pair_mask | 1 << c | 1 << d | 1 << e), chosen + [(c, (v, b), (d, e))]
 
 
 def f2_tiling_exact(
@@ -327,36 +333,28 @@ def f2_tiling_exact(
     # two vertices in an independent set, hence at least three outside it.
     anchor = greedy_independent(adj, sorted(range(n), key=lambda u: (adj[u].bit_count(), u)))
 
+    # One node rule for both modes: a node with more copies than floor is the
+    # new best, and one that cannot pass floor is pruned.  Perfect mode fixes
+    # floor one below a perfect tiling and stops at the first node above it;
+    # maximum mode raises floor to each new best.
+    floor = n // 5 - 1 if require_perfect else 0
     best: list[_Bowtie] = []
     search = DepthFirst((full, []), budget)
     for free, chosen in search:
-        if require_perfect and not free:
-            best = chosen  # the only place perfect mode sets best
-            break
+        if len(chosen) > floor:
+            best = chosen
+            if require_perfect:
+                break
+            floor = len(best)
         limit = min(free.bit_count() // 5, (free & ~anchor).bit_count() // 3)
-        if require_perfect:
-            if limit < free.bit_count() // 5:
-                continue
-        else:
-            if len(chosen) > len(best):
-                best = chosen
-            if len(chosen) + limit <= len(best):
-                continue
+        if len(chosen) + limit <= floor:
+            continue
         v = min(iter_bits(free), key=lambda u: (adj[u] & free).bit_count())
-        search.push(_f2_children(adj, v, free, chosen, not require_perfect))
+        children = _copies_through(adj, v, free, chosen)
+        # maximum mode discards v after every way of covering it
+        search.push(children if require_perfect else chain(children, [(free & ~(1 << v), chosen)]))
     copies = tuple(F2Copy(center, (w1, w2)) for center, w1, w2 in best)
     return F2TilingResult(copies, len(best) * 5 == n, search.exact, search.nodes)
-
-
-def _f2_children(
-    adj: list[int], v: int, free: int, chosen: list[_Bowtie], discard: bool
-) -> Iterator[tuple[int, list[_Bowtie]]]:
-    # cover v with each of its bowties in generation order, then (maximum
-    # mode) discard v
-    for mask, copy in _copies_through(adj, v, free):
-        yield free & ~mask, chosen + [copy]
-    if discard:
-        yield free & ~(1 << v), chosen
 
 
 @dataclass(frozen=True)

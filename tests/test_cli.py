@@ -22,7 +22,7 @@ import pytest
 
 from monotile import cli, solver
 from monotile.cli import CSV_COLUMNS, build_parser, run_cli
-from monotile.generators import circulant, extremal_instance
+from monotile.generators import circulant, complete_graph, extremal_instance
 from monotile.graphio import dump_colored_graph, dump_graph, load_colored_graph
 from monotile.rationals import rational_json
 from monotile.solver import bound_table
@@ -137,7 +137,7 @@ class TestGenerate:
         out = tmp_path / "inst.edges"
         code, _, _ = run(
             capsys,
-            "generate", "--kind", "extremal",
+            "generate", "--extremal",
             "--n", "31", "--delta", "16", "--seed", "3", "--out", str(out),
         )
         assert code == 0
@@ -149,13 +149,16 @@ class TestGenerate:
         assert meta["certificate_0"] == "AvoidV1 bound=5 parts=0"
         assert meta["certificate_1"] == "AvoidV1AndV3Budget bound=1 parts=1,2"
 
-    def test_extremal_shorthand_flag(self, tmp_path, capsys):
-        long = tmp_path / "a.edges"
-        short = tmp_path / "b.edges"
-        args = ["--n", "26", "--delta", "13", "--seed", "0"]
-        assert run(capsys, "generate", "--kind", "extremal", *args, "--out", str(long))[0] == 0
-        assert run(capsys, "generate", "--extremal", *args, "--out", str(short))[0] == 0
-        assert long.read_text() == short.read_text()
+    @pytest.mark.parametrize("kinds", [("--extremal", "--random"), ("--random", "--five-part")])
+    def test_two_kind_flags_fail(self, tmp_path, capsys, kinds):
+        out = tmp_path / "x.edges"
+        code, _, err = run(
+            capsys, "generate", *kinds, "--n", "6", "--seed", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert f"argument {kinds[1]}: not allowed with argument {kinds[0]}" in err
+        assert not out.exists()
+        assert not (tmp_path / "x.edges.meta").exists()
 
     def test_default_kind_is_extremal(self, tmp_path, capsys):
         out = tmp_path / "c.edges"
@@ -633,11 +636,11 @@ EXPERIMENT = ("experiment", "--config", "{data}", "--out", "{out}")
 GENERATE = ("generate", "--seed", "0", "--out", "{out}")
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
-# argv (with {inst}, {empty}, {data}, {out}, {huge}, {plain} filled in), JSON
-# written to {data} (a str is written as it is), and a fragment the error
-# message must contain.  {inst} is an all-red triangle, {plain} the triangle
-# as an uncolored graph, {empty} an instance with no vertices and {huge} one
-# whose header asks for 10**15 vertices.
+# argv (with {inst}, {empty}, {data}, {out}, {huge}, {plain}, {k5} filled
+# in), JSON written to {data} (a str is written as it is), and a fragment the
+# error message must contain.  {inst} is an all-red triangle, {plain} the
+# triangle as an uncolored graph, {k5} the uncolored K5, {empty} an instance
+# with no vertices and {huge} one whose header asks for 10**15 vertices.
 HOSTILE_INPUTS = [
     pytest.param(VERIFY, {"tiling": [["a", "b", "c", "r"]]}, "invalid tiling", id="verify-string-vertices"),
     pytest.param(VERIFY, {"tiling": [[0, 1, 2.5, "r"]]}, "invalid tiling", id="verify-float-vertex"),
@@ -691,6 +694,8 @@ HOSTILE_INPUTS = [
     pytest.param(GENERATE + ("--five-part", "--m", str(2**70)), None, "error: ", id="generate-five-part-oversized-m"),
     # on the plain triangle |W| = 9/2 - 5 + C = 2**70 + 3 and 3 + |W| is a multiple of 5
     pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", f"{2**71 + 7}/2"), None, "error: ", id="reduce-oversized-C"),
+    # on K5 |W| = 15/2 - 10 + C = 10**16, a padding mask no host can allocate
+    pytest.param(("theory", "reduce", "--graph", "{k5}", "--C", f"{2 * 10**16 + 5}/2"), None, "padded order 10000000000000005 is too large", id="reduce-huge-padding"),
     # on the plain triangle |W| = 9/2 - 5 + 1/2 = 0, so the padded order is 3
     pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", "1/2"), None, "padded order 3 is not divisible by 5", id="reduce-padded-order-not-divisible"),
     # raw text: JSON nested deeper than json.loads can recurse (json.dumps cannot write it)
@@ -705,9 +710,11 @@ def test_hostile_input_exits_1(tmp_path, capsys, argv, data, fragment):
         "inst": tmp_path / "k3.edges", "empty": tmp_path / "empty.edges",
         "data": tmp_path / "data.json", "out": tmp_path / "runs.csv",
         "huge": tmp_path / "huge.edges", "plain": tmp_path / "k3.graph",
+        "k5": tmp_path / "k5.graph",
     }
     paths["inst"].write_text(K3_RED)
     paths["plain"].write_text("3 3\n0 1\n0 2\n1 2\n")
+    paths["k5"].write_text(dump_graph(complete_graph(5)))
     paths["empty"].write_text("0 0\n")
     # a vertex count whose masks cannot be allocated at all
     paths["huge"].write_text("1000000000000000 0\n")

@@ -191,6 +191,9 @@ COLORED_BUILD_PINS = [
     pytest.param(3, [(0, 1, None)], ("GraphError", "edge color must be 'r' or 'b', got None"), id="none-color"),
     pytest.param(3, [(0, 1, ["r"])], ("GraphError", "edge color must be 'r' or 'b', got ['r']"), id="list-color"),
     pytest.param(3, [(0, 1, "r"), (0, 1)], ("ValueError", "not enough values to unpack (expected 3, got 2)"), id="two-entries"),
+    # 0 <= 1.5 < 3 passes the bulk range check, so the float reaches the bulk
+    # OR loop, whose TypeError sends the list to the per-edge replay
+    pytest.param(3, [(0, 1.5, "r")], ("TypeError", "unsupported operand type(s) for >>: 'int' and 'float'"), id="float-vertex"),
     pytest.param(-1, [(0, 1, "r")], ("VertexOutOfRangeError", "negative vertex count -1"), id="negative-n"),
     pytest.param(-1, [], ("VertexOutOfRangeError", "negative vertex count -1"), id="negative-n-no-edges"),
     pytest.param(0, [], ("colored", 0, ()), id="n-zero"),
@@ -207,6 +210,7 @@ def test_graph_build_pins(n, edges, expected):
 
 @pytest.mark.parametrize("n, edges, expected", COLORED_BUILD_PINS)
 def test_colored_build_pins(n, edges, expected):
+    assert built(graphs._colored_edge_by_edge, n, edges) == expected
     assert built(build_colored_graph, n, edges) == expected
     if all(len(e) == 3 for e in edges):
         columns = list(zip(*edges)) or [[], [], []]
