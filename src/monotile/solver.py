@@ -33,22 +33,35 @@ Covering abc removes hits[a] | hits[b] | hits[c] from live, discarding v
 removes hits[v], and only the cover vertices in the near masks of the removed
 vertices are rechecked, so a node costs the work that changed.
 
-The heuristic reads the same index and greedy completion; its (1,2)-swap is
-the 2-improvement of Andrade, Resende and Werneck (J. Heuristics 2012), done
-over live ids.  It stops once its tiling reaches an upper bound on every
-tiling of its mask (floor(|cover|/3) in heuristic_tiling, the root bound as
-the exact search's seed), so stopping changes no result.
+The heuristic's (1,2)-swap is the 2-improvement of Andrade, Resende and
+Werneck (J. Heuristics 2012).  Its greedy, swap and kick rules are written
+once, over a search space that lists the triangles a move may use in
+canonical order, and two spaces make the same choices.  heuristic_tiling
+runs on vertex masks, as they do: a pool, the triangles of the searched
+colours inside a free vertex set F, is listed from the colour masks when a
+move needs it, so a dense graph whose tiling nearly covers it reads a few
+small pools and builds no index.  That path spends each pair and triangle
+it reads from a cap, the number of ids the index would hold (counted from
+the colour masks by lowest vertex, as far as the covers need and then as
+far as the work needs); past the cap it drops its work and starts over on
+the index, whose pools are masks of live ids.  The exact search seeds from
+the index it builds.  A search stops once its tiling reaches an upper bound
+on every tiling of it (floor(|cover|/3) in heuristic_tiling, the root bound
+as the exact search's seed), and heuristic_tiling skips a search whose
+bound the best so far meets, so stopping changes no result.
 
-A solve builds one index of the monochromatic triangles, straight from the
-edge-by-edge scan graphs.scan_mono_pairs and with ids in its canonical
-order; no Triangle record is made for it.  Each search is a mask of ids.  A
-weak exact search takes every id; a strong search the red ids, then the
-blue ones; the weak heuristic all, then red, then blue, since every strong
-tiling is also a weak one.  Every choice depends only on the id order, so a
-search over a colour mask makes the choices a search over the colour's own
-list would.  The largest result wins and the first searched wins ties, so
-strong mode keeps red on ties.  Triangle records are made only for the
-winning ids, and verify_tiling rechecks that tiling in full.
+An exact solve builds one index of the monochromatic triangles, straight
+from the edge-by-edge scan graphs.scan_mono_pairs and with ids in its
+canonical order; no Triangle record is made for it.  The heuristic builds
+one only past its cap.  Each search is a mask of ids, or of colours on
+vertex masks.  A weak exact search takes every id; a strong search the red
+ids, then the blue ones; the weak heuristic all, then red, then blue, since
+every strong tiling is also a weak one.  Every choice depends only on the
+canonical order, so a search over a colour mask makes the choices a search
+over the colour's own list would.  The largest result wins and the first
+searched wins ties, so strong mode keeps red on ties.  Triangle records are
+made only for the winning triangles, and verify_tiling rechecks that tiling
+in full.
 """
 
 from __future__ import annotations
@@ -57,7 +70,9 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cache, reduce
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterOutOfRangeError
 from .graphs import (
@@ -302,7 +317,7 @@ def _pack_exact(
 
     root_cover = _cover(hits, searched)
     root_bound = min(root_cover.bit_count() // 3, hitting.bit_count())
-    best = _local_search(index, searched, HEURISTIC_ITERS, HEURISTIC_SEED, root_bound)
+    best = _local_search(_Ids(index, searched), HEURISTIC_ITERS, HEURISTIC_SEED, root_bound)
     search = DepthFirst((searched, root_cover, [], hitting, 0), budget)
     for live, cover, chosen, hit, touched in search:
         extra = _greedy(verts, hits, live)
@@ -328,68 +343,265 @@ def heuristic_tiling(
 ) -> Tiling:
     """Greedy tiling plus (1,1)/(1,2)-swap local search, seeded random kicks.
 
-    Improving inserts free triangles greedily, lowest id first, then swaps a
-    selected triangle for the first disjoint pair of its live ids (free of the
-    rest of the selection), until neither move applies; a kick swaps a random
-    selected triangle for a random live id, until the kicks run out or the
-    tiling reaches floor(|cover|/3).  Never returns fewer triangles than
-    canonical greedy; deterministic given the seed.  Weak mode also
-    searches each color class alone (see the module docstring), so its size
-    never trails strong mode's.
+    Improving inserts free triangles greedily in canonical order, then
+    swaps a selected triangle for the first disjoint pair of the triangles
+    that could take its place (free of the rest of the selection), until
+    neither move applies; a kick swaps a random selected triangle for a
+    random one of those triangles, until the kicks run out or the tiling
+    reaches floor(|cover|/3).  Never returns fewer triangles than canonical
+    greedy; deterministic given the seed.  Weak mode also searches each
+    color class alone (see the module docstring), so its size never trails
+    strong mode's, and stops after the all-colour search once that reaches
+    floor(|cover|/3).
+
+    The search runs on vertex masks.  Once it has read more pairs and
+    triangles than the graph has monochromatic triangles, it starts over on
+    the triangle index; both make the same choices (see the module
+    docstring).
     """
+    try:
+        chosen = _best_of(_vertex_searches(cg, mode), iters, seed)
+    except _OverCap:
+        chosen = _best_of(_id_searches(cg, mode), iters, seed)
+    return _checked_tiling(cg, chosen, mode)
+
+
+def _best_of(
+    searches: Iterable[tuple[_Ids | _Vertices, int]], iters: int, seed: int
+) -> list[Triangle]:
+    """The largest of the heuristic's tilings over searches, (space, bound)
+    pairs in tie-break order, as records.  A search whose bound the best so
+    far meets is skipped: it cannot pass the best, and ties go to the
+    earlier search."""
+    best: list = []
+    for space, most in searches:
+        if most > len(best):
+            found = _local_search(space, iters, seed, most)
+            if len(found) > len(best):
+                best, winner = found, space
+    return list(map(winner.record, best)) if best else []
+
+
+def _id_searches(cg: ColoredGraph, mode: str) -> Iterator[tuple[_Ids, int]]:
+    """The heuristic's searches over the triangle index, with their cover bounds."""
     index, searches = _searches(cg, mode, heuristic=True)
-    _, hits, _, _ = index
-    found = (
-        _local_search(index, live, iters, seed, _cover(hits, live).bit_count() // 3)
-        for live in searches
-    )
-    return _checked_tiling(cg, _records(index, max(found, key=len)), mode)
+    for live in searches:
+        yield _Ids(index, live), _cover(index[1], live).bit_count() // 3
 
 
-def _local_search(index: _Index, searched: int, iters: int, seed: int, most: int) -> list[int]:
-    """The heuristic's tiling of the searched ids, as ids (see heuristic_tiling).
-    most bounds every tiling of searched from above; the search stops once
-    its tiling reaches it."""
-    verts, hits, _, _ = index
+def _vertex_searches(cg: ColoredGraph, mode: str) -> Iterator[tuple[_Vertices, int]]:
+    """The heuristic's searches on vertex masks, with their cover bounds.
+    Each colour's cover is read off its triangles by lowest vertex, lowest
+    first, until it holds every vertex with an edge of the colour or the
+    vertices run out.  The triangles counted on the way open the work cap
+    that the searches of one solve share; the rest are counted only as the
+    work needs them."""
+    if mode not in MODES:
+        raise ValueError(f"bad mode {mode!r}")
+    n = cg.n
+    masks = {RED: list(map(cg.red_mask, range(n))), BLUE: list(map(cg.blue_mask, range(n)))}
+    cover = {}
+    counted = 0
+    uncounted = []
+    for color, adj in masks.items():
+        edged = reduce(or_, adj, 0)  # the vertices with an edge of the colour
+        cover[color] = u = 0
+        while u < n and cover[color] != edged:
+            closed, count = _lowest(adj, u)
+            counted += count
+            if closed:
+                cover[color] |= closed | 1 << u
+            u += 1
+        uncounted.append((adj, u))
+    cap = _Cap(counted, (_lowest(adj, x)[1] for adj, u in uncounted for x in range(u, n)))
+    none = [0] * n
+    red = (masks[RED], none, cover[RED])
+    blue = (none, masks[BLUE], cover[BLUE])
+    every = (masks[RED], masks[BLUE], cover[RED] | cover[BLUE])
+    for red_adj, blue_adj, region in [red, blue] if mode == STRONG else [every, red, blue]:
+        yield _Vertices(red_adj, blue_adj, region, cap), region.bit_count() // 3
+
+
+def _lowest(adj: list[int], u: int) -> tuple[int, int]:
+    """The vertices above u on the triangles of adj whose lowest vertex is
+    u, and the number of those triangles."""
+    rest = adj[u] >> (u + 1) << (u + 1)
+    closed = count = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        common = rest & adj[low.bit_length() - 1]
+        if common:
+            closed |= common | low
+            count += common.bit_count()
+    return closed, count
+
+
+class _Cap:
+    """The work a solve's vertex-mask searches may still do: the number of
+    triangle ids _index would make, less the pairs and triangles read so
+    far.  left starts at the ids counted so far; counts yields the others,
+    by colour and lowest vertex, as the work needs them."""
+
+    def __init__(self, left: int, counts: Iterator[int]):
+        self.left = left
+        self.counts = counts
+
+    def spend(self, work: int) -> None:
+        """Count work read; raise _OverCap once the work passes every id."""
+        self.left -= work
+        while self.left < 0:
+            more = next(self.counts, None)
+            if more is None:
+                raise _OverCap
+            self.left += more
+
+
+class _OverCap(Exception):
+    """A vertex-mask search read more than its cap."""
+
+
+class _Ids:
+    """One heuristic search over the triangle index: a triangle is its id,
+    and what it blocks is the ids sharing a vertex with it."""
+
+    def __init__(self, index: _Index, searched: int):
+        self.index = verts, hits, _, _ = index
+        self.searched = searched
+
+        @cache
+        def block(i: int) -> int:
+            a, b, c = verts[i]
+            return hits[a] | hits[b] | hits[c]
+
+        self.block = block
+
+    def greedy(self, blocked: int) -> list[int]:
+        verts, hits, _, _ = self.index
+        return _greedy(verts, hits, self.searched & ~blocked)
+
+    def pool(self, blocked: int, j: int) -> list[int]:
+        return list(iter_bits(self.searched & ~blocked & ~(1 << j)))
+
+    def pair(self, blocked: int, j: int) -> Optional[tuple[int, int]]:
+        rest = self.searched & ~blocked & ~(1 << j)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            later = rest & ~self.block(low.bit_length() - 1)
+            if later:
+                return low.bit_length() - 1, (later & -later).bit_length() - 1
+        return None
+
+    def record(self, i: int) -> Triangle:
+        return _records(self.index, [i])[0]
+
+
+# A vertex-mask search's triangle: its vertices in order, its colour and
+# its vertex mask.
+_Tri = tuple[int, int, int, str, int]
+
+
+class _Vertices:
+    """One heuristic search on vertex masks: a triangle is (u, v, w, color,
+    mask), listed in the index's id order, and what it blocks is its vertex
+    mask.  Every pair uv and every triangle read is spent from the cap."""
+
+    block = staticmethod(itemgetter(4))
+
+    def __init__(self, red: list[int], blue: list[int], region: int, cap: _Cap):
+        self.red = red  # per vertex its neighbours by an edge of a searched colour
+        self.blue = blue
+        self.region = region  # the vertices on some triangle of the searched colours
+        self.cap = cap
+
+    def triangles(self, live: int) -> Iterator[_Tri]:
+        # The triangles of live in canonical order: the pair scan of
+        # graphs.scan_mono_pairs on the searched colours' masks, spending
+        # every pair read, closing or not.
+        red, blue, cap = self.red, self.blue, self.cap
+        for u in iter_bits(live):
+            above = live >> (u + 1) << (u + 1)
+            red_u, blue_u = red[u] & above, blue[u] & above
+            pairs = red_u | blue_u
+            while pairs:
+                low = pairs & -pairs
+                pairs ^= low
+                v = low.bit_length() - 1
+                if red_u & low:
+                    common, color = red_u & red[v], RED
+                else:
+                    common, color = blue_u & blue[v], BLUE
+                closing = common >> (v + 1) << (v + 1)
+                cap.left -= 1 + closing.bit_count()
+                if cap.left < 0:
+                    cap.spend(0)
+                for w in iter_bits(closing):
+                    yield u, v, w, color, 1 << u | low | 1 << w
+
+    def greedy(self, blocked: int) -> list[_Tri]:
+        # One pass: the first triangle of the free vertices is taken, and
+        # the scan resumes above its lowest vertex without its vertices.
+        chosen = []
+        free = self.region & ~blocked
+        while (t := next(self.triangles(free), None)) is not None:
+            chosen.append(t)
+            free = (free & ~t[4]) >> (t[0] + 1) << (t[0] + 1)
+        return chosen
+
+    def pool(self, blocked: int, j: _Tri) -> list[_Tri]:
+        return [t for t in self.triangles(self.region & ~blocked) if t != j]
+
+    def pair(self, blocked: int, j: _Tri) -> Optional[tuple[_Tri, _Tri]]:
+        pool = self.pool(blocked, j)
+        for k, t in enumerate(pool):
+            for x in range(k + 1, len(pool)):
+                if not pool[x][4] & t[4]:
+                    self.cap.spend(x - k)
+                    return t, pool[x]
+            self.cap.spend(len(pool) - k)
+        return None
+
+    def record(self, t: _Tri) -> Triangle:
+        return Triangle(t[:3], t[3])
+
+
+
+def _local_search(space: _Ids | _Vertices, iters: int, seed: int, most: int) -> list:
+    """The heuristic's tiling of one search, in the space's triangles (see
+    heuristic_tiling).  most bounds every tiling of the search from above;
+    the search stops once its tiling reaches it."""
     rng = random.Random(seed)
 
-    def free(sel: list[int]) -> int:
-        # The ids of the triangles vertex-disjoint from every triangle in sel.
-        blocked = 0
-        for i in sel:
-            a, b, c = verts[i]
-            blocked |= hits[a] | hits[b] | hits[c]
-        return searched & ~blocked
+    def blocked(sel: list) -> int:
+        # What the triangles in sel block, as one mask.
+        return reduce(or_, map(space.block, sel), 0)
 
-    def swap(sel: list[int]) -> bool:
+    def swap(sel: list) -> bool:
         # (1,2)-swap in place: the first position whose pool holds two
-        # disjoint ids gives way to the lexicographically first such pair.
-        # A position's pool is the searched ids outside the union of the
-        # ids blocked by the triangles before it and by those after it
-        # (prefix and suffix unions), so a pass costs O(|sel|) unions.
-        masks = [hits[a] | hits[b] | hits[c] for a, b, c in (verts[i] for i in sel)]
+        # disjoint triangles gives way to the first such pair.  A position's
+        # pool is what neither the triangles before it nor those after it
+        # block (prefix and suffix unions), so a pass costs O(|sel|) unions.
+        masks = list(map(space.block, sel))
         after = [0] * (len(sel) + 1)
         for pos in reversed(range(len(sel))):
             after[pos] = after[pos + 1] | masks[pos]
         before = 0
         for pos, j in enumerate(sel):
-            live = searched & ~(before | after[pos + 1]) & ~(1 << j)
-            for i in iter_bits(live):
-                a, b, c = verts[i]
-                pair = (live >> i << i) & ~(hits[a] | hits[b] | hits[c])
-                if pair:
-                    sel[pos:] = sel[pos + 1 :] + [i, (pair & -pair).bit_length() - 1]
-                    return True
+            pair = space.pair(before | after[pos + 1], j)
+            if pair:
+                sel[pos:] = sel[pos + 1 :] + list(pair)
+                return True
             before |= masks[pos]
         return False
 
-    def improve(sel: list[int]) -> list[int]:
-        while True:
-            sel += _greedy(verts, hits, free(sel))
-            if not swap(sel):
-                return sel
+    def improve(sel: list) -> list:
+        # sel leaves no triangle free
+        while swap(sel):
+            sel += space.greedy(blocked(sel))
+        return sel
 
-    first = _greedy(verts, hits, searched)
+    first = space.greedy(0)
     if len(first) == most:  # no swap or kick can pass the bound
         return first
     current = improve(first)
@@ -398,11 +610,13 @@ def _local_search(index: _Index, searched: int, iters: int, seed: int, most: int
         if len(best) == most:
             break
         pos = rng.randrange(len(current))
-        # the ids that can take the place of current[pos], other than it
-        live = free(current[:pos] + current[pos + 1 :]) & ~(1 << current[pos])
-        if not live:
+        # the triangles that can take the place of current[pos], other than it
+        pool = space.pool(blocked(current[:pos] + current[pos + 1 :]), current[pos])
+        if not pool:
             continue
-        current[pos] = rng.choice(list(iter_bits(live)))
+        # no triangle is free after the kick: it would lie in pos's pool
+        # beside the new one, a swap pair that improve already ruled out
+        current[pos] = rng.choice(pool)
         current = improve(current)
         if len(current) > len(best):
             best = list(current)

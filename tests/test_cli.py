@@ -367,6 +367,17 @@ PINNED_INSTANCES = {
     "five-part-6-seed5": ("--five-part", "--m", "6", "--density", "0.7", "--p-red", "0.4", "--seed", "5"),
 }
 
+# instance files written as they stand: K_5 red on the 5-cycle and blue on its
+# complement has no monochromatic triangle
+PINNED_TEXTS = {
+    "empty": "0 0\n",
+    "edgeless-4": "4 0\n",
+    "red-k5": "5 10\n" + "".join(f"{u} {v} r\n" for u in range(5) for v in range(u + 1, 5)),
+    "no-mono-k5": "5 10\n" + "".join(
+        f"{u} {v} {'r' if v - u in (1, 4) else 'b'}\n" for u in range(5) for v in range(u + 1, 5)
+    ),
+}
+
 # (instance, solve flags) -> the report with runtime_ms removed, as compact
 # JSON with sorted keys: the bytes `solve` writes, not properties of them.
 REPORT_PINS = [
@@ -409,13 +420,31 @@ REPORT_PINS = [
     ("five-part-6-seed5", ("--heuristic", "--mode", "strong"),
      '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":false,"mode":"strong","n":30,"nodes":0,"size":6,'
      '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,8,13,"b"],[3,19,26,"b"],[4,7,15,"b"],[5,20,27,"b"]]}'),
+    ("five-part-6-seed5", ("--heuristic", "--mode", "strong", "--iters", "0"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":5,"exact":false,"mode":"strong","n":30,"nodes":0,"size":6,'
+     '"tiling":[[0,18,24,"b"],[1,6,12,"b"],[2,8,13,"b"],[3,19,26,"b"],[4,7,15,"b"],[5,20,27,"b"]]}'),
+    ("empty", ("--heuristic", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":0,"exact":false,"mode":"weak","n":0,"nodes":0,"size":0,'
+     '"tiling":[]}'),
+    ("edgeless-4", ("--heuristic", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":null,"thm3":0},"delta":0,"exact":false,"mode":"weak","n":4,"nodes":0,"size":0,'
+     '"tiling":[]}'),
+    ("red-k5", ("--heuristic", "--mode", "strong"),
+     '{"bounds":{"bft":0,"remarkA":"4/3","thm3":"4/3"},"delta":4,"exact":false,"mode":"strong","n":5,"nodes":0,'
+     '"size":1,"tiling":[[0,1,2,"r"]]}'),
+    ("no-mono-k5", ("--heuristic", "--mode", "weak"),
+     '{"bounds":{"bft":0,"remarkA":"4/3","thm3":"4/3"},"delta":4,"exact":false,"mode":"weak","n":5,"nodes":0,'
+     '"size":0,"tiling":[]}'),
 ]
 
 
 @pytest.mark.parametrize("name, flags, expected", REPORT_PINS)
 def test_pinned_solve_report(tmp_path, capsys, name, flags, expected):
     inst = tmp_path / "inst.edges"
-    assert run(capsys, "generate", *PINNED_INSTANCES[name], "--out", str(inst))[0] == 0
+    if name in PINNED_TEXTS:
+        inst.write_text(PINNED_TEXTS[name])
+    else:
+        assert run(capsys, "generate", *PINNED_INSTANCES[name], "--out", str(inst))[0] == 0
     code, out, err = run(capsys, "solve", "--instance", str(inst), *flags)
     assert code == 0, err
     report = json.loads(out)

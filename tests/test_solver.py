@@ -161,6 +161,9 @@ def pinned_instance(spec):
     if kind == "random":
         n, p_red, seed = args
         return random_coloring(complete_graph(n), p_red, seed=seed)
+    if kind == "gnp":
+        n, p_edge, seed = args
+        return random_colored(n, p_edge, 0.5, seed)
     m, density, seed = args
     return five_part_instance(m, density, 0.5, seed).colored_graph
 
@@ -240,6 +243,9 @@ SEARCH_ORDER_PINS = [
 # order of the ids a kick draws from.  With iters=0 the greedy-trap row is
 # reached by (1,2)-swaps alone: canonical greedy gets 10.  The K_21 row is the
 # one that changes when a swap pairs i with the highest disjoint id above it.
+# Of the last four rows, the K_60 ones stay on vertex masks (the weak one's
+# first greedy stops at 19, so its swaps run there) and the other two pass
+# the vertex-mask search's cap and start over on the index.
 HEURISTIC_PINS = [
     (("random", 21, 0.5, 3), "strong", 32, 3, 7,
      "0-1-14r 2-5-7r 3-15-17r 4-6-18r 8-11-12r 9-10-19r 13-16-20r"),
@@ -265,6 +271,14 @@ HEURISTIC_PINS = [
      "21-22-58b 23-25-43b 24-26-44b 27-29-45b 28-33-46b 30-34-47b 31-42-56b 32-39-49b 35-48-55b 36-40-50b 37-51-57b 38-52-54b 41-53-59b"),
     (("traps", 10), "weak", 0, 0, 20,
      "0-3-4r 1-2-5r 6-9-10r 7-8-11r 12-15-16r 13-14-17r 18-21-22r 19-20-23r 24-27-28r 25-26-29r 30-33-34r 31-32-35r 36-39-40r 37-38-41r 42-45-46r 43-44-47r 48-51-52r 49-50-53r 54-57-58r 55-56-59r"),
+    (("random", 60, 0.5, 1), "weak", 32, 0, 20,
+     "0-1-12r 2-3-5b 4-7-59b 6-52-54r 8-9-10b 11-13-17b 14-15-20b 16-18-19r 21-22-23r 24-25-31r 26-27-32r 28-29-30r 33-34-44r 35-36-37r 38-39-43b 40-41-46b 42-45-51b 47-48-50r 49-53-55r 56-57-58r"),
+    (("random", 60, 0.5, 2), "strong", 32, 0, 20,
+     "0-3-8r 1-4-5r 2-9-25r 6-7-14r 10-12-15r 11-16-20r 13-17-19r 18-21-22r 23-24-30r 26-31-38r 27-29-35r 28-34-36r 32-39-42r 33-37-44r 40-41-43r 45-47-50r 46-49-51r 48-52-53r 54-55-57r 56-58-59r"),
+    (("extremal", 40, 22, 0), "weak", 32, 0, 4,
+     "18-19-36b 20-21-37b 22-25-38b 23-27-39b"),
+    (("five-part", 8, 0.6, 1), "strong", 32, 0, 8,
+     "0-27-32b 1-8-18b 2-24-38b 3-9-16b 4-28-39b 5-10-17b 6-15-21b 7-25-33b"),
 ]
 
 
@@ -458,6 +472,72 @@ class TestIndex:
         tiling = solve(cg, mode)
         assert tiling.size == 7
         assert len(built) == tiling.size
+
+
+def words(tiling):
+    return " ".join("%d-%d-%d%s" % (*t.vertices, t.color) for t in tiling.triangles)
+
+
+def index_path(cg, mode, iters, seed):
+    """heuristic_tiling's searches over the triangle index alone."""
+    return solver._checked_tiling(cg, solver._best_of(solver._id_searches(cg, mode), iters, seed), mode)
+
+
+# Random colourings of K_n, coloured G(n, p), five-part blow-ups and an
+# extremal instance: graphs where the vertex-mask search stays under its cap
+# and graphs where it starts over on the index.
+DIFFERENTIAL_FAMILY = (
+    [("random", n, p_red, n) for n in range(0, 41, 4) for p_red in (0.1, 0.5, 0.9)]
+    + [("gnp", n, p_edge, n) for n in (6, 13, 21, 30) for p_edge in (0.3, 0.6, 0.9)]
+    + [("five-part", m, 0.6, m) for m in range(3, 10)]
+    + [("extremal", 40, 22, 1)]
+)
+
+
+class TestHeuristicPaths:
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    @pytest.mark.parametrize("spec", DIFFERENTIAL_FAMILY, ids=str)
+    def test_vertex_masks_match_the_index(self, spec, mode, monkeypatch):
+        # heuristic_tiling, and the vertex-mask search with no cap at all,
+        # make the index search's choices
+        cg = pinned_instance(spec)
+        for iters in (0, 1, 32):
+            for seed in (0, 3):
+                want = index_path(cg, mode, iters, seed)
+                assert heuristic_tiling(cg, mode, iters, seed) == want
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver._Cap, "spend", lambda self, work: None)
+                    chosen = solver._best_of(solver._vertex_searches(cg, mode), iters, seed)
+                assert solver._checked_tiling(cg, chosen, mode) == want
+
+    def test_dense_weak_solve_builds_no_index(self, monkeypatch):
+        def refuse(cg):
+            raise AssertionError("the triangle index was built")
+
+        monkeypatch.setattr(solver, "_index", refuse)
+        t = heuristic_tiling(pinned_instance(("random", 30, 0.5, 0)), WEAK)
+        assert t.size == 10
+
+    def test_past_the_cap_returns_the_index_tiling(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(solver, "_index", lambda cg: built.append(cg) or _index(cg))
+        cg = pinned_instance(("extremal", 40, 22, 0))
+        t = heuristic_tiling(cg, WEAK)
+        assert len(built) == 1
+        assert t == index_path(cg, WEAK, 32, 0)
+
+    @pytest.mark.parametrize("path", [heuristic_tiling, index_path], ids=["vertex", "index"])
+    def test_weak_stops_once_the_first_search_closes(self, path, monkeypatch):
+        # the all-colour search reaches floor(30/3); the red and blue
+        # searches cannot pass it, so they do not run
+        calls = []
+        local_search = solver._local_search
+        monkeypatch.setattr(solver, "_local_search", lambda *a: calls.append(a) or local_search(*a))
+        t = path(pinned_instance(("random", 30, 0.5, 0)), WEAK, 32, 0)
+        assert len(calls) == 1
+        assert words(t) == (
+            "0-1-28b 2-23-26b 3-4-6b 5-7-9r 8-10-12b 11-13-17b 14-15-25b 16-19-21b 18-20-29b 22-24-27b"
+        )
 
 
 class TestHeuristic:
