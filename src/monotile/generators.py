@@ -5,6 +5,11 @@ parts, the first ell-1 of size n-delta, fills each part with a triangle-free
 graph, adds every cross-part edge, and colors edges leaving the first part red
 and everything else blue.  No monochromatic triangle can then touch the first
 part, which is what the attached upper-bound certificates assert.
+
+Every generator builds its instance as adjacency and red/blue masks, with no
+list of edges: a complete graph or an extremal layout is one mask per vertex,
+and a random coloring or the five-part fixture sets an edge's bits as it
+draws the edge's colour.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import BLUE, RED, ColoredGraph, Graph, build_colored_graph, mask_of
+from .graphs import ColoredGraph, Graph, _zeros, mask_of, set_bits
 from .independence import IndependenceResult, is_triangle_free, max_independent_set_exact
 from .rationals import rational_json
 
@@ -53,7 +58,11 @@ def petersen() -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    adj = _zeros(n)  # rejects a negative n, and one too large to allocate
+    full = (1 << n) - 1
+    for v in range(n):
+        adj[v] = full ^ 1 << v
+    return Graph._from_adj(n, adj)
 
 
 _CATALOG = {
@@ -100,14 +109,25 @@ def triangle_free_low_alpha(
 
 
 def random_coloring(g: Graph, p_red: float, seed: int) -> ColoredGraph:
-    """Color each edge red with probability p_red, independently, seeded."""
+    """Color each edge red with probability p_red, independently, seeded.
+
+    Each edge uv, u < v, takes one draw, in lexicographic order: u's higher
+    neighbours are read from the bits of its mask.  The edge is red when its
+    draw is below p_red; the blue masks are what the red ones leave.
+    """
     if not 0 <= p_red <= 1:
         raise ValueError(f"p_red must lie in [0, 1], got {p_red}")
-    rng = random.Random(seed)
-    edges = [
-        (u, v, RED if rng.random() < p_red else BLUE) for u, v in g.edges
-    ]
-    return build_colored_graph(g.n, edges)
+    draw = random.Random(seed).random
+    adj = [g.neighbors_mask(v) for v in range(g.n)]
+    red = [0] * g.n
+    for u, mask in enumerate(adj):
+        row = 0
+        for v in set_bits(mask >> (u + 1) << (u + 1)):
+            if draw() < p_red:
+                row |= 1 << v
+                red[v] |= 1 << u
+        red[u] |= row
+    return ColoredGraph(g, red, [a ^ r for a, r in zip(adj, red)])
 
 
 @dataclass(frozen=True)
@@ -183,18 +203,21 @@ def extremal_instance(
     ]
 
     parts = tuple(tuple(range(i * base, i * base + size)) for i, size in enumerate(sizes))
-    edges = [
-        (i * base + u, i * base + v, BLUE)
-        for i, pg in enumerate(part_graphs)
-        for u, v in pg.edges
-    ]
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            color = RED if i == 0 else BLUE
-            for u in parts[i]:
-                for v in parts[j]:
-                    edges.append((u, v, color))
-    cg = build_colored_graph(n, edges)
+    # part 0 sends red edges to every other part; the rest is blue: the part
+    # graphs, and the edges between the other parts
+    full = (1 << n) - 1
+    first = (1 << sizes[0]) - 1
+    red: list[int] = []
+    blue: list[int] = []
+    for i, (size, pg) in enumerate(zip(sizes, part_graphs)):
+        start = i * base
+        own = ((1 << size) - 1) << start
+        cross_red, cross_blue = (full ^ own, 0) if i == 0 else (first, full ^ first ^ own)
+        for x in range(size):
+            red.append(cross_red)
+            blue.append(cross_blue | pg.neighbors_mask(x) << start)
+    adj = [r | b for r, b in zip(red, blue)]
+    cg = ColoredGraph(Graph._from_adj(n, adj), red, blue)
 
     achieved = cg.graph.min_degree()
     if achieved < delta_target:
@@ -259,6 +282,8 @@ def five_part_instance(
         raise ValueError(f"p_red must lie in [0, 1], got {p_red}")
     rng = random.Random(seed)
     parts = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(5))
+    red = _zeros(5 * m)
+    blue = _zeros(5 * m)
     pairs = []
     densities = {}
     for i, j in BOWTIE_PAIRS:
@@ -269,11 +294,14 @@ def five_part_instance(
                     pairs.append((u, v))
                     count += 1
         densities[(i, j)] = Fraction(count, m * m)
-    edges = [
-        (u, v, RED if rng.random() < p_red else BLUE) for u, v in pairs
-    ]
+    # the pairs are distinct, and each joins two parts: no check is needed
+    for u, v in pairs:
+        side = red if rng.random() < p_red else blue
+        side[u] |= 1 << v
+        side[v] |= 1 << u
+    adj = [r | b for r, b in zip(red, blue)]
     return FivePartInstance(
-        colored_graph=build_colored_graph(5 * m, edges),
+        colored_graph=ColoredGraph(Graph._from_adj(5 * m, adj), red, blue),
         parts=parts,
         m=m,
         requested_density=density,

@@ -4,16 +4,18 @@ Line 1 is `n m`, then m edge lines: `u v` for uncolored graphs, `u v c` with
 c in {r, b} for colored ones.  `#` starts a comment line.  Writers emit edges
 in canonical order (u < v, lexicographically sorted).
 
-The reader works on whole columns.  Its bulk pass takes the split lines,
-checks that the header has two fields and every edge line the same two or
-three, transposes the edge lines into columns, converts each distinct vertex
-token with one int() call and checks the colour column by counting, then
-hands the columns to the graph builders, which check ranges, loops and
-repeats in bulk.  A file with a comment, a blank line or any defect is
-refused by the bulk pass and checked again line by line, which skips
-comments and blank lines, names the line of the first defect, and hands the
-checked lines back to the bulk pass, so every text gives the same graph, or
-the same error naming the same line or edge, as a line-by-line reader alone.
+The reader works on whole columns.  Its bulk pass takes a text in the
+writers' own shape, checked by one regular expression: an `n m` header, then
+rows that are all `u v` or all `u v c`, in ASCII digits with one space
+between fields.  It splits the whole text once, slices the tokens into
+columns, converts each distinct vertex token with one int() call, and hands
+the columns to the graph builders, which check ranges, loops and repeats in
+bulk.  Any other text (a comment, a blank line, other spacing, or a defect)
+goes to the line-by-line reader, which skips comments and blank lines, names
+the line of the first defect, and hands its checked rows to the same
+builders, so every text gives the same graph, or the same error naming the
+same line or edge, as a line-by-line reader alone.
+
 Both writers share one row writer, which emits one row per vertex: the
 vertex's label, then the tails of its higher neighbours (label, and colour
 for a coloured graph) picked by the bits of its masks.
@@ -21,18 +23,26 @@ for a coloured graph) picked by the bits of its masks.
 
 from __future__ import annotations
 
+import re
 from itertools import compress
 from operator import getitem
 from typing import Callable
 
-from .graphs import BLUE, RED, ColoredGraph, Graph, build_colored_graph, iter_bits
+from .graphs import (
+    BLUE,
+    RED,
+    SPARSE_SPAN,
+    ColoredGraph,
+    Graph,
+    build_colored_graph,
+    flags,
+    iter_bits,
+)
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-# A writer's row picks the labels of the vertices it spans by one 0/1 flag
-# each, which costs O(span).  A row that spans more than this many vertices
-# per edge steps through its bits instead, so no row costs more than a
-# constant times its edges in flags, or more than a bit loop.
-_SPARSE_ROW = 32
+# The shape the writers emit: an `n m` header and at least one edge row, the
+# rows all `u v` or all `u v c`, in ASCII digits, one space between fields
+# and a newline after every line.
+_DUMPED = re.compile(r"[0-9]+ [0-9]+\n(?:(?:[0-9]+ [0-9]+\n)+|(?:[0-9]+ [0-9]+ [rb]\n)+)")
 
 
 class FormatError(ValueError):
@@ -57,64 +67,42 @@ def _dump(g: Graph, tails: list[tuple[str, ...]], red_mask: Callable[[int], int]
             continue
         red = red_mask(u)
         width = above.bit_length()
-        if width > _SPARSE_ROW * above.bit_count():
+        # a row picks the tails of the vertices it spans by one flag each,
+        # unless it is sparse
+        if width > SPARSE_SPAN * above.bit_count():
             row = (tails[v][red >> v & 1] for v in iter_bits(above << (u + 1)))
         else:
-            picked = _flags(above, width)
-            is_red = compress(_flags(red >> (u + 1), width), picked)
+            picked = flags(above, width)
+            is_red = compress(flags(red >> (u + 1), width), picked)
             row = map(getitem, compress(tails[u + 1 : u + 1 + width], picked), is_red)
         head = f"{u} "
         lines.append(head + ("\n" + head).join(row))
     return "\n".join(lines) + "\n"
 
 
-def _flags(mask: int, width: int) -> bytes:
-    """Bits 0..width-1 of mask, lowest first, one 0 or 1 byte each."""
-    return bin(mask | 1 << width)[:2:-1].encode().translate(_BITS)
-
-
 def load_graph_text(text: str):
     """Parse the text format; returns Graph or ColoredGraph by column count."""
-    graph = _read_columns(list(map(str.split, text.splitlines())))
+    graph = _read_dumped(text)
     return _read_lines(text) if graph is None else graph
 
 
-def _read_columns(rows: list[list[str]]):
-    """The bulk pass: the graph of the split lines of a file without
-    comments, blank lines or defects, None for any other rows.  Errors from
-    the graph builders are raised as FormatError, here only."""
-    if len(rows) < 2 or len(rows[0]) != 2:
+def _read_dumped(text: str):
+    """The bulk pass: the graph of a text in the writers' shape, None for any
+    other text."""
+    if _DUMPED.fullmatch(text) is None:
         return None
-    body = rows[1:]
-    widths = set(map(len, body))
-    if widths != {2} and widths != {3}:
+    tokens = text.split()
+    rows = text.count("\n") - 1
+    n, m = int(tokens[0]), int(tokens[1])
+    if m != rows:
         return None
-    columns = list(zip(*body))
-    # int() once per distinct vertex token, then a lookup per endpoint
-    tokens = {*columns[0], *columns[1]}
-    try:
-        n, m = map(int, rows[0])
-        value = dict(zip(tokens, map(int, tokens)))
-    except ValueError:
-        return None
-    if m != len(body):
-        return None
-    us = list(map(value.__getitem__, columns[0]))
-    vs = list(map(value.__getitem__, columns[1]))
-    try:
-        if len(columns) == 2:
-            return Graph.from_columns(n, us, vs)
-        colors = columns[2]
-        if colors.count(RED) + colors.count(BLUE) != m:
-            return None
-        return ColoredGraph.from_columns(n, us, vs, colors)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    width = (len(tokens) - 2) // rows
+    return _build(n, [tokens[2 + i :: width] for i in range(width)])
 
 
 def _read_lines(text: str):
     """The line-by-line reader: skips comments and blank lines, names the
-    line of the first defect, and hands the checked lines to the bulk pass."""
+    line of the first defect, and hands the checked rows to the builders."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,7 +128,23 @@ def _read_lines(text: str):
             _int(lineno, token)
         if width == 3 and cols[2] not in (RED, BLUE):
             raise FormatError(f"line {lineno}: color must be r or b, got {cols[2]!r}")
-    return _read_columns([header] + [cols for _, cols in body])
+    return _build(n, list(zip(*(cols for _, cols in body))))
+
+
+def _build(n: int, columns: list):
+    """The graph of checked columns: the endpoint tokens, then the colours of
+    a coloured graph.  Errors from the graph builders are raised as
+    FormatError, here only."""
+    # int() once per distinct vertex token, then a lookup per endpoint
+    value = {token: int(token) for token in {*columns[0], *columns[1]}}
+    us = list(map(value.__getitem__, columns[0]))
+    vs = list(map(value.__getitem__, columns[1]))
+    try:
+        if len(columns) == 2:
+            return Graph.from_columns(n, us, vs)
+        return ColoredGraph.from_columns(n, us, vs, columns[2])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def load_colored_graph(text: str) -> ColoredGraph:

@@ -8,7 +8,7 @@ and colorings are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 RED = "r"
@@ -43,6 +43,28 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+# Reading a mask by one 0/1 flag per position costs O(span) in C.  A mask
+# that spans more than this many positions per set bit is walked by iter_bits
+# instead, so no walk costs more than a constant times its bits in flags, or
+# more than a bit loop.
+SPARSE_SPAN = 32
+
+
+def flags(mask: int, width: int) -> bytes:
+    """Bits 0..width-1 of mask, lowest first, one 0 or 1 byte each."""
+    return bin(mask | 1 << width)[:2:-1].encode().translate(_BITS)
+
+
+def set_bits(mask: int) -> Iterable[int]:
+    """The set bit positions of mask in ascending order, as iter_bits yields
+    them; a dense mask is picked from its flags, with no Python step per bit."""
+    width = mask.bit_length()
+    if width > SPARSE_SPAN * mask.bit_count():
+        return iter_bits(mask)
+    return compress(range(width), flags(mask, width))
 
 
 class DepthFirst:

@@ -566,7 +566,6 @@ class _Vertices:
         return Triangle(t[:3], t[3])
 
 
-
 def _local_search(space: _Ids | _Vertices, iters: int, seed: int, most: int) -> list:
     """The heuristic's tiling of one search, in the space's triangles (see
     heuristic_tiling).  most bounds every tiling of the search from above;

@@ -722,6 +722,7 @@ HOSTILE_INPUTS = [
     pytest.param(GENERATE + ("--extremal", "--n", str(2**70), "--delta", str(2**70 - 1)), None, "error: ", id="generate-extremal-oversized-n"),
     pytest.param(GENERATE + ("--five-part", "--m", str(2**70)), None, "error: ", id="generate-five-part-oversized-m"),
     pytest.param(GENERATE + ("--random", "--n", "-1"), None, "error: negative vertex count -1", id="generate-random-negative-n"),
+    pytest.param(GENERATE + ("--random", "--n", str(2**70)), None, f"error: vertex count {2**70} is too large", id="generate-random-oversized-n"),
     # on the plain triangle |W| = 9/2 - 5 + C = 2**70 + 3 and 3 + |W| is a multiple of 5
     pytest.param(("theory", "reduce", "--graph", "{plain}", "--C", f"{2**71 + 7}/2"), None, "error: ", id="reduce-oversized-C"),
     # on K5 |W| = 15/2 - 10 + C = 10**16, a padding mask no host can allocate

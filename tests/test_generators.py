@@ -24,7 +24,7 @@ from monotile.generators import (
     triangle_free_process,
 )
 from monotile.graphio import dump_colored_graph
-from monotile.graphs import BLUE, RED, Graph
+from monotile.graphs import BLUE, RED, Graph, build_colored_graph
 from monotile.independence import is_triangle_free, max_independent_set_exact
 
 import oracles
@@ -117,6 +117,38 @@ class TestRandomBipartite:
     def test_density_extremes(self):
         assert oracles.random_bipartite(4, 5, 1.0, seed=0).num_edges == 20
         assert oracles.random_bipartite(4, 5, 0.0, seed=0).num_edges == 0
+
+
+def masks(cg):
+    return [
+        (cg.graph.neighbors_mask(v), cg.red_mask(v), cg.blue_mask(v)) for v in range(cg.n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_coloring(complete_graph(0), 0.5, seed=0),
+        lambda: random_coloring(complete_graph(1), 0.5, seed=0),
+        lambda: random_coloring(complete_graph(23), 0.3, seed=2),
+        lambda: random_coloring(oracles.random_bipartite(9, 14, 0.4, seed=3), 0.6, seed=4),
+        lambda: random_coloring(Graph(90, [(u, u + 45) for u in range(45)]), 0.5, seed=5),
+        lambda: extremal_instance(26, 13, seed=1).colored_graph,
+        lambda: extremal_instance(43, 40, seed=1).colored_graph,
+        lambda: extremal_instance(31, 16, "triangle_free_process", seed=2).colored_graph,
+        lambda: five_part_instance(5, 0.7, 0.4, seed=6).colored_graph,
+        lambda: five_part_instance(3, 1.0, 1.0, seed=0).colored_graph,
+    ],
+    ids=[
+        "random-k0", "random-k1", "random-k23", "random-bipartite", "random-matching",
+        "extremal-26-13", "extremal-43-40", "extremal-process", "five-part", "five-part-red",
+    ],
+)
+def test_masks_match_the_checked_builder(build):
+    # the generators fill their masks directly; the per-edge builder, fed the
+    # same coloured edges, checks them and must give the same masks
+    cg = build()
+    assert masks(cg) == masks(build_colored_graph(cg.n, oracles.colored_edges(cg)))
 
 
 class TestExtremalInstance:

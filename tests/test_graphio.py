@@ -175,6 +175,12 @@ READER_TABLE = [
     pytest.param("3 1\x0c0 1 r\n", ("colored", 3, ((0, 1, "r"),)), id="form-feed-line-break"),
     pytest.param("+3 1\n+0 1 r\n", ("colored", 3, ((0, 1, "r"),)), id="plus-sign-tokens"),
     pytest.param("8 1\n07 1 r\n", ("colored", 8, ((1, 7, "r"),)), id="leading-zero-tokens"),
+    pytest.param("03 1\n0 1 r\n", ("colored", 3, ((0, 1, "r"),)), id="leading-zero-header"),
+    pytest.param("03 01\n00 02 b\n", ("colored", 3, ((0, 2, "b"),)), id="leading-zeros-everywhere"),
+    pytest.param("3 1\n0  1 r\n", ("colored", 3, ((0, 1, "r"),)), id="double-space"),
+    pytest.param("3 1\n0 1 r \n", ("colored", 3, ((0, 1, "r"),)), id="trailing-space"),
+    pytest.param("3 1\n0 1 r\n\n", ("colored", 3, ((0, 1, "r"),)), id="trailing-blank-line"),
+    pytest.param("3 2\n0 1 r\n1 2 b\n \n", ("colored", 3, ((0, 1, "r"), (1, 2, "b"))), id="trailing-blank-line-with-space"),
     pytest.param("11 1\n1_0 0 r\n", ("colored", 11, ((0, 10, "r"),)), id="underscore-tokens"),
     pytest.param("3 1\n0 ２ r\n", ("colored", 3, ((0, 2, "r"),)), id="fullwidth-digit-token"),
     pytest.param("3 2\n0 1 r\n1 2 b", ("colored", 3, ((0, 1, "r"), (1, 2, "b"))), id="no-trailing-newline"),
@@ -245,7 +251,7 @@ def test_bulk_pass_agrees_with_line_reader():
             text = mutated(rng, text)
         assert outcome(load_graph_text, text) == outcome(graphio._read_lines, text), text
         try:
-            bulk += graphio._read_columns(list(map(str.split, text.splitlines()))) is not None
+            bulk += graphio._read_dumped(text) is not None
         except FormatError:
             bulk += 1
     assert 100 <= bulk <= 500

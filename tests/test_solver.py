@@ -440,7 +440,9 @@ class TestIndex:
             assert _near(index, live) == [_cover(hits, h & live) for h in hits]
 
     @pytest.mark.parametrize("mode", [WEAK, STRONG])
-    def test_one_index_per_solve(self, mode, monkeypatch):
+    def test_heuristic_passes_the_work_cap_on_random_colored_12(self, mode, monkeypatch):
+        # an exact solve builds one index; the heuristic builds one only past
+        # its work cap, which random_colored(12, 0.8, 0.5, seed=1) passes
         built = []
         monkeypatch.setattr(solver, "_index", lambda cg: built.append(cg) or _index(cg))
         cg = random_colored(12, 0.8, 0.5, seed=1)
