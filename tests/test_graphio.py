@@ -181,6 +181,8 @@ READER_TABLE = [
     pytest.param("3 1\n0 1 r \n", ("colored", 3, ((0, 1, "r"),)), id="trailing-space"),
     pytest.param("3 1\n0 1 r\n\n", ("colored", 3, ((0, 1, "r"),)), id="trailing-blank-line"),
     pytest.param("3 2\n0 1 r\n1 2 b\n \n", ("colored", 3, ((0, 1, "r"), (1, 2, "b"))), id="trailing-blank-line-with-space"),
+    pytest.param("3 1\n\n0 1 r\n", ("colored", 3, ((0, 1, "r"),)), id="blank-line-after-header"),
+    pytest.param("3 2\n\n0 1 r\n", ("FormatError", "expected 2 edge lines, found 1"), id="blank-line-counted-as-edge"),
     pytest.param("11 1\n1_0 0 r\n", ("colored", 11, ((0, 10, "r"),)), id="underscore-tokens"),
     pytest.param("3 1\n0 ２ r\n", ("colored", 3, ((0, 2, "r"),)), id="fullwidth-digit-token"),
     pytest.param("3 2\n0 1 r\n1 2 b", ("colored", 3, ((0, 1, "r"), (1, 2, "b"))), id="no-trailing-newline"),
