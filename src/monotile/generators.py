@@ -15,10 +15,9 @@ draws the edge's colour.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import ColoredGraph, Graph, _zeros, mask_of, set_bits
+from .graphs import ColoredGraph, Graph, Record, _zeros, mask_of, set_bits
 from .independence import IndependenceResult, is_triangle_free, max_independent_set_exact
 from .rationals import rational_json
 
@@ -130,8 +129,7 @@ def random_coloring(g: Graph, p_red: float, seed: int) -> ColoredGraph:
     return ColoredGraph(g, red, [a ^ r for a, r in zip(adj, red)])
 
 
-@dataclass(frozen=True)
-class UpperBoundCertificate:
+class UpperBoundCertificate(Record):
     """Structural tiling-size bound with the part indices its argument uses.
 
     AvoidV1: no monochromatic triangle meets part 0, so any tiling fits in
@@ -146,8 +144,7 @@ class UpperBoundCertificate:
     parts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtremalInstance:
+class ExtremalInstance(Record):
     colored_graph: ColoredGraph
     parts: tuple[tuple[int, ...], ...]
     delta_target: int
@@ -250,8 +247,7 @@ def extremal_instance(
     )
 
 
-@dataclass
-class FivePartInstance:
+class FivePartInstance(Record):
     """Five parts of size m with the six bowtie pairs randomly filled."""
 
     colored_graph: ColoredGraph

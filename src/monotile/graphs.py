@@ -3,11 +3,15 @@
 Vertices are dense ids 0..n-1 and every vertex set is a Python int used as a
 bit vector, so neighborhood intersections are single AND operations.  Graphs
 and colorings are immutable after construction.
+
+The package's result records (Triangle, Tiling and those of the other
+modules) are plain classes on one base, Record, defined here because every
+other module imports this one first.  Their methods are shared, not
+generated, so making a record class runs no generated code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -351,8 +355,75 @@ def color_class_views(cg: ColoredGraph) -> tuple[Graph, Graph]:
     return red, blue
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Record:
+    """Base of the package's immutable result records.
+
+    A subclass's fields are its own annotations, in order, after any fields
+    of a record base.  A record is built from its fields by position or by
+    keyword, each given exactly once; then the class's __post_init__, looked
+    up at call time, may check and normalise them.  Records compare and hash
+    as their field tuples among records of one class, refuse assignment and
+    deletion, and repr as Name(field=value, ...).  These are plain methods of
+    this class, so making a record class generates no code.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order, from arguments given by position and keyword."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing fields {missing}")
+        return [values[name] for name in fields]
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Triangle(Record):
     """A vertex triple tagged with its edge-color pattern.
 
     Mixed triangles are representable for diagnostics but never valid inside
@@ -385,8 +456,7 @@ def _scanned_triangle(vertices: tuple[int, int, int], color: str) -> Triangle:
     return tri
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Record):
     """Vertex-disjoint monochromatic triangles; see verify_tiling for checks."""
 
     triangles: tuple[Triangle, ...]

@@ -9,14 +9,12 @@ Its nodes are (candidate mask, chosen mask) pairs on `graphs.DepthFirst`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import DepthFirst, Graph, iter_bits
+from .graphs import DepthFirst, Graph, Record, iter_bits
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(Record):
     alpha: int
     witness: frozenset[int]
     exact: bool

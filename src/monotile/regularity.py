@@ -9,11 +9,10 @@ comparisons mirror the defining inequalities exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, Record, iter_bits, mask_of
 from .rationals import as_fraction
 
 
@@ -50,8 +49,7 @@ def density(g: Graph, X: Iterable[int], Y: Iterable[int]) -> Fraction:
     return _density(g, *_side_masks(g, X, Y))
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(Record):
     """Certified violation: large sub-pair whose density strays beyond eps."""
 
     X: frozenset[int]
@@ -201,8 +199,7 @@ def t_bound(d, eps) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class DominatingResult:
+class DominatingResult(Record):
     picks: tuple[int, ...]
     covered: frozenset[int]
     t_target: int

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from operator import itemgetter, or_
@@ -84,6 +83,7 @@ from .graphs import (
     WEAK,
     ColoredGraph,
     DepthFirst,
+    Record,
     Tiling,
     Triangle,
     enumerate_mono_triangles,  # unused here: perfbench/spans.py hooks this name
@@ -100,8 +100,7 @@ HEURISTIC_ITERS = 32
 HEURISTIC_SEED = 0
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     tiling: Tiling
     exact: bool
     nodes_expanded: int
@@ -641,15 +640,13 @@ def verify_tiling(cg: ColoredGraph, tiling: Tiling) -> bool:
     return tiling.mode == WEAK or len(colors) <= 1
 
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(Record):
     order: int
     min_degree: int
     triangle: Triangle
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(Record):
     tiling: Tiling
     residual: frozenset[int]
     reason: str  # "min_degree" | "no_mono_triangle"
@@ -701,8 +698,7 @@ def peel_to_three_fifths(cg: ColoredGraph) -> PeelResult:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Evaluated piecewise bounds for one (n, delta), exact rationals."""
 
     n: int

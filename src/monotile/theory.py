@@ -18,7 +18,6 @@ and chosen list when the node's iterator is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,6 +32,7 @@ from .graphs import (
     DepthFirst,
     Graph,
     GraphError,
+    Record,
     Tiling,
     Triangle,
     edges_inside,
@@ -65,8 +65,7 @@ class CountIdentityViolatedError(ValueError):
 CHROMATIC_SIZE_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class ChromaticProfile:
+class ChromaticProfile(Record):
     """(chi, sigma, chi_cr, hcf_chi, hcf_c, hcf, chi_star); None encodes infinity."""
 
     chi: int
@@ -190,8 +189,7 @@ def admissible_C(k: int, delta: int, c_f2=0) -> Fraction:
     return Fraction(c)
 
 
-@dataclass(frozen=True)
-class AuxReduction:
+class AuxReduction(Record):
     """Base graph padded with an independent, fully joined vertex set W."""
 
     base: Graph
@@ -252,8 +250,7 @@ def auxiliary_reduction(r: Graph, C, c_f2=0) -> AuxReduction:
     )
 
 
-@dataclass(frozen=True)
-class F2Copy:
+class F2Copy(Record):
     """A bowtie: two triangles sharing exactly the center vertex."""
 
     center: int
@@ -278,8 +275,7 @@ class F2Copy:
         return 1 << self.center | 1 << a | 1 << b | 1 << c | 1 << d
 
 
-@dataclass(frozen=True)
-class F2TilingResult:
+class F2TilingResult(Record):
     copies: tuple[F2Copy, ...]
     perfect: bool
     exact: bool
@@ -357,8 +353,7 @@ def f2_tiling_exact(
     return F2TilingResult(copies, len(best) * 5 == n, search.exact, search.nodes)
 
 
-@dataclass(frozen=True)
-class F2Classification:
+class F2Classification(Record):
     """Perfect-tiling copy counts by padding usage, plus derived identities."""
 
     s: int  # copies using two padding vertices
@@ -541,8 +536,7 @@ def _transversal_path(
     return None
 
 
-@dataclass(frozen=True)
-class FivePartTilingResult:
+class FivePartTilingResult(Record):
     tiling: Tiling
     target_reached: bool  # size >= (1 - sqrt(eps)) * m
     phase1_count: int

@@ -33,6 +33,7 @@ from monotile import (
     UpperBoundCertificate,
     build_colored_graph,
 )
+from monotile.graphs import Record
 from monotile.solver import PeelStep
 from monotile.theory import F2Classification, FivePartTilingResult
 
@@ -199,6 +200,10 @@ ROWS = [
 
 CASES = pytest.mark.parametrize("cls, fields, text, frozen", ROWS)
 FROZEN = pytest.mark.parametrize("cls, fields, text, frozen", [r for r in ROWS if r.values[3]])
+
+
+def test_every_record_class_has_a_row():
+    assert {r.values[0] for r in ROWS} == set(Record.__subclasses__())
 
 
 @CASES
