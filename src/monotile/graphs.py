@@ -369,8 +369,7 @@ class Record:
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._fields = cls._fields + tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
